@@ -1,7 +1,7 @@
 """Bench a01: Ablation: practical constant calibration.
 
-Regenerates the a01 ablation tables (see DESIGN.md section 3) and times
-one full quick-mode run.
+Regenerates the a01 ablation tables (see the claims map in
+docs/ARCHITECTURE.md) and times one full quick-mode run.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Bench a03: Ablation: candidate-set decoding policies.
 
-Regenerates the a03 ablation tables (see DESIGN.md section 3) and times
-one full quick-mode run.
+Regenerates the a03 ablation tables (see the claims map in
+docs/ARCHITECTURE.md) and times one full quick-mode run.
 """
 
 from __future__ import annotations

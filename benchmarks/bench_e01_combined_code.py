@@ -1,7 +1,7 @@
 """Bench e01: Figure 1: the combined-code construction.
 
-Regenerates the e01 tables (see DESIGN.md section 3) and times one full
-quick-mode run.
+Regenerates the e01 tables (see the claims map in docs/ARCHITECTURE.md)
+and times one full quick-mode run.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Bench e02: Theorem 4: beep-code decodability census.
 
-Regenerates the e02 tables (see DESIGN.md section 3) and times one full
-quick-mode run.
+Regenerates the e02 tables (see the claims map in docs/ARCHITECTURE.md)
+and times one full quick-mode run.
 """
 
 from __future__ import annotations

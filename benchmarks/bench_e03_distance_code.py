@@ -1,7 +1,7 @@
 """Bench e03: Lemma 6: distance-code minimum distance.
 
-Regenerates the e03 tables (see DESIGN.md section 3) and times one full
-quick-mode run.
+Regenerates the e03 tables (see the claims map in docs/ARCHITECTURE.md)
+and times one full quick-mode run.
 """
 
 from __future__ import annotations

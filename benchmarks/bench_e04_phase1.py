@@ -1,7 +1,7 @@
 """Bench e04: Lemmas 8-9: phase-1 set recovery under noise.
 
-Regenerates the e04 tables (see DESIGN.md section 3) and times one full
-quick-mode run.
+Regenerates the e04 tables (see the claims map in docs/ARCHITECTURE.md)
+and times one full quick-mode run.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Bench e05: Lemma 10: phase-2 message recovery.
 
-Regenerates the e05 tables (see DESIGN.md section 3) and times one full
-quick-mode run.
+Regenerates the e05 tables (see the claims map in docs/ARCHITECTURE.md)
+and times one full quick-mode run.
 """
 
 from __future__ import annotations

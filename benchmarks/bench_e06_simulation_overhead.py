@@ -1,7 +1,7 @@
 """Bench e06: Theorem 11: O(Delta log n) simulation overhead.
 
-Regenerates the e06 tables (see DESIGN.md section 3) and times one full
-quick-mode run.
+Regenerates the e06 tables (see the claims map in docs/ARCHITECTURE.md)
+and times one full quick-mode run.
 """
 
 from __future__ import annotations

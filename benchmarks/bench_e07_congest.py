@@ -1,7 +1,7 @@
 """Bench e07: Corollary 12: CONGEST at O(Delta^2 log n).
 
-Regenerates the e07 tables (see DESIGN.md section 3) and times one full
-quick-mode run.
+Regenerates the e07 tables (see the claims map in docs/ARCHITECTURE.md)
+and times one full quick-mode run.
 """
 
 from __future__ import annotations

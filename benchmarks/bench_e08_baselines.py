@@ -1,7 +1,7 @@
 """Bench e08: Section 1.3: ours vs TDMA baselines.
 
-Regenerates the e08 tables (see DESIGN.md section 3) and times one full
-quick-mode run.
+Regenerates the e08 tables (see the claims map in docs/ARCHITECTURE.md)
+and times one full quick-mode run.
 """
 
 from __future__ import annotations

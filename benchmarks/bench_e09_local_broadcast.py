@@ -1,7 +1,7 @@
 """Bench e09: Lemma 15: Local Broadcast upper bounds.
 
-Regenerates the e09 tables (see DESIGN.md section 3) and times one full
-quick-mode run.
+Regenerates the e09 tables (see the claims map in docs/ARCHITECTURE.md)
+and times one full quick-mode run.
 """
 
 from __future__ import annotations

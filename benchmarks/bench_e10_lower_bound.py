@@ -1,7 +1,7 @@
 """Bench e10: Lemma 14: Omega(Delta^2 B) lower bound.
 
-Regenerates the e10 tables (see DESIGN.md section 3) and times one full
-quick-mode run.
+Regenerates the e10 tables (see the claims map in docs/ARCHITECTURE.md)
+and times one full quick-mode run.
 """
 
 from __future__ import annotations

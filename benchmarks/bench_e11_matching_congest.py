@@ -1,7 +1,7 @@
 """Bench e11: Lemmas 17-20: matching in Broadcast CONGEST.
 
-Regenerates the e11 tables (see DESIGN.md section 3) and times one full
-quick-mode run.
+Regenerates the e11 tables (see the claims map in docs/ARCHITECTURE.md)
+and times one full quick-mode run.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Bench e12: Theorem 21: matching over noisy beeps.
 
-Regenerates the e12 tables (see DESIGN.md section 3) and times one full
-quick-mode run.
+Regenerates the e12 tables (see the claims map in docs/ARCHITECTURE.md)
+and times one full quick-mode run.
 """
 
 from __future__ import annotations

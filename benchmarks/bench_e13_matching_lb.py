@@ -1,7 +1,7 @@
 """Bench e13: Theorem 22: matching lower bound.
 
-Regenerates the e13 tables (see DESIGN.md section 3) and times one full
-quick-mode run.
+Regenerates the e13 tables (see the claims map in docs/ARCHITECTURE.md)
+and times one full quick-mode run.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Bench e14: Section 1.4: code-length comparison.
 
-Regenerates the e14 tables (see DESIGN.md section 3) and times one full
-quick-mode run.
+Regenerates the e14 tables (see the claims map in docs/ARCHITECTURE.md)
+and times one full quick-mode run.
 """
 
 from __future__ import annotations

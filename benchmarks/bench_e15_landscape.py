@@ -1,7 +1,7 @@
 """Bench e15: Sections 1.2-1.3: overhead landscape.
 
-Regenerates the e15 tables (see DESIGN.md section 3) and times one full
-quick-mode run.
+Regenerates the e15 tables (see the claims map in docs/ARCHITECTURE.md)
+and times one full quick-mode run.
 """
 
 from __future__ import annotations

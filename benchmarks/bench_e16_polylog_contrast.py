@@ -1,7 +1,7 @@
 """Bench e16: Section 7 — polylog MIS vs poly-Delta matching.
 
-Regenerates the e16 table (see DESIGN.md section 3) and times one full
-quick-mode run.
+Regenerates the e16 table (see the claims map in docs/ARCHITECTURE.md)
+and times one full quick-mode run.
 """
 
 from __future__ import annotations

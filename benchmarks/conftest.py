@@ -1,8 +1,9 @@
 """Shared helpers for the benchmark suite.
 
-Each ``bench_eXX`` module regenerates one experiment from DESIGN.md §3 via
-pytest-benchmark and prints its tables (run with ``-s`` to see them
-inline; they are also what ``python -m repro.experiments`` prints).
+Each ``bench_eXX`` module regenerates one experiment of the claims map in
+``docs/ARCHITECTURE.md`` via pytest-benchmark and prints its tables (run
+with ``-s`` to see them inline; they are also what
+``python -m repro.experiments`` prints).
 
 The standalone ``BENCH_*.json``-writing scripts additionally share
 :func:`host_metadata`, so every benchmark document carries the same

@@ -18,9 +18,10 @@ rounds per phase      ``b``; two phases per simulated round
 ====================  =======================
 
 :func:`paper_strict_c` reproduces the paper's exact constant constraints
-(they are astronomically large — see DESIGN.md §2.1); :func:`practical_c`
-gives presets at which the implementation actually achieves high success
-rates, as measured by experiments E4–E6.
+(they are astronomically large — see ``docs/ARCHITECTURE.md``, "Candidate
+policies and practical constants"); :func:`practical_c` gives presets at
+which the implementation actually achieves high success rates, as
+measured by experiments E4–E6.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ DISTANCE_DELTA = 1.0 / 3.0
 
 
 class CandidatePolicy(enum.Enum):
-    """How decoders enumerate candidate codewords (DESIGN.md §2.2).
+    """How decoders enumerate candidate codewords (``docs/ARCHITECTURE.md``).
 
     The per-candidate accept/reject tests are the paper's regardless of
     policy; the policy only controls which candidates are scanned.

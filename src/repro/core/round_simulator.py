@@ -17,15 +17,19 @@ sequence of standalone calls with matching round offsets (same seeds →
 same :class:`RoundOutcome`\\ s).  :func:`simulate_broadcast_round` remains
 as the one-shot compatibility wrapper.
 
-:class:`BatchedSession` is the replica-batched engine on top: it stacks
-``R`` seed-replicas of the same ``(topology, params)`` pair — one
-:class:`BroadcastSession` per seed — and executes each round's beeping
-phases as a single 3-D :meth:`~repro.engine.SimulationBackend.
-run_schedule_batch` call while decoding through vectorised kernels that
-are *exactly* equal (not just statistically) to the reference decoders.
-``BatchedSession(...).run_round(batch)[r]`` is bit-identical to what the
-``r``-th standalone :class:`BroadcastSession` would return, a property
-enforced by ``tests/core/test_batched_session.py``.
+There is one round engine: every session plans and decodes through the
+kernels of this module (``_build_phase_schedules_fast``,
+``_phase1_decode_fast``, ``_phase2_decode_fast``; the decoders count on
+the exact BLAS ``sgemm`` path), which are *exactly* equal to the
+reference :func:`~repro.core.encoder.build_phase_schedules`,
+:func:`~repro.core.decoder.phase1_decode` and
+:func:`~repro.core.decoder.phase2_decode`.  Those are the paper-facing
+specification and the test oracle (``tests/core/test_batched_session.py``
+checks kernels and whole rounds against them); no session runs them.
+:class:`BatchedSession` stacks ``R`` seed-replicas of one ``(topology,
+params)`` pair and runs each beeping phase as a single 3-D
+:meth:`~repro.engine.SimulationBackend.run_schedule_batch` call; its
+outcome ``r`` is bit-identical to the ``r``-th standalone session's.
 
 The returned :class:`RoundOutcome` carries both the decoded messages (which
 downstream algorithms consume, right or wrong — simulation fidelity is part
@@ -52,8 +56,7 @@ from ..errors import ConfigurationError
 from ..graphs import Topology
 from ..lru import LRUDict
 from ..rng import derive_rng, derive_seed, random_bits
-from .decoder import DecodedMessage, phase1_decode, phase2_decode
-from .encoder import build_phase_schedules
+from .decoder import DecodedMessage
 from .parameters import CandidatePolicy, SimulationParameters
 
 __all__ = [
@@ -66,7 +69,7 @@ __all__ = [
 
 #: Largest code length at which 0/1 dot products are exactly representable
 #: in float32 (every partial sum is an integer below 2^24), letting the
-#: vectorised decoders ride the BLAS sgemm path without changing a single
+#: decoders ride the BLAS sgemm path without changing a single
 #: count.
 _EXACT_FLOAT32_LIMIT = 1 << 24
 
@@ -147,7 +150,8 @@ class BroadcastSession:
         ``(seed, round_offset)`` so rounds are independent and the whole
         session is reproducible.
     policy, num_decoys:
-        Candidate enumeration policy (see DESIGN.md §2.2).
+        Candidate enumeration policy (see ``docs/ARCHITECTURE.md``,
+        "Candidate policies and practical constants").
     channel:
         Override the noise channel (defaults to the one implied by
         ``params.eps``).
@@ -210,9 +214,6 @@ class BroadcastSession:
         self._distance_rows: LRUDict[int, np.ndarray] = LRUDict(
             _DISTANCE_ROW_CACHE_LIMIT
         )
-        # Flipped by BatchedSession on its replicas: route schedule
-        # building and decoding through the vectorised-exact kernels.
-        self._vectorized = False
 
     @property
     def topology(self) -> Topology:
@@ -332,21 +333,14 @@ class BroadcastSession:
         participating = [messages[v] is not None for v in range(n)]
 
         # Steps 2-3: the two oblivious beeping phase schedules.
-        slot_positions: "np.ndarray | None" = None
-        slot_rows: "dict[int, int] | None" = None
-        if self._vectorized:
-            (
-                phase1_schedule,
-                phase2_schedule,
-                slot_positions,
-                slot_rows,
-            ) = _build_phase_schedules_fast(
-                self._codes, r_values, messages, self._distance_rows
-            )
-        else:
-            phase1_schedule, phase2_schedule = build_phase_schedules(
-                self._codes, r_values, messages
-            )
+        (
+            phase1_schedule,
+            phase2_schedule,
+            slot_positions,
+            slot_rows,
+        ) = _build_phase_schedules_fast(
+            self._codes, r_values, messages, self._distance_rows
+        )
         return _RoundPlan(
             messages=list(messages),
             round_offset=round_offset,
@@ -394,32 +388,14 @@ class BroadcastSession:
             round_rng,
         )
 
-        # Step 4a: phase-1 decoding (Lemma 9 threshold test).  The
-        # vectorised path recovers in-flight candidate codewords from the
-        # schedule rows already encoded in the plan (only decoys need
-        # fresh encodes) and reuses that matrix for the phase-2 slot
-        # patterns below.
-        candidate_matrix = self._phase1_matrix(candidates)
-        if self._vectorized:
-            if candidate_matrix is None:
-                candidate_matrix = _candidate_matrix_from_plan(
-                    codes.beep_code, plan, candidates
-                )
-            accepted_raw = _phase1_decode_fast(
-                codes.beep_code,
-                heard1,
-                candidates,
-                params.eps,
-                codeword_matrix=candidate_matrix,
-            )
-        else:
-            accepted_raw = phase1_decode(
-                codes.beep_code,
-                heard1,
-                candidates,
-                params.eps,
-                codeword_matrix=candidate_matrix,
-            )
+        # Step 4a: phase-1 decoding (Lemma 9 threshold test).
+        accepted_raw = _phase1_decode_fast(
+            codes.beep_code,
+            heard1,
+            candidates,
+            params.eps,
+            codeword_matrix=self._phase1_matrix(plan, candidates),
+        )
         accepted: list[set[int]] = []
         for v in range(n):
             own = {r_values[v]} if participating[v] else set()
@@ -452,7 +428,7 @@ class BroadcastSession:
             message_candidates = list(range(1 << params.message_bits))
         if not message_candidates:
             decoded_maps = [dict() for _ in range(n)]
-        elif self._vectorized:
+        else:
             # Slot-position recycling pays only when the candidate scan
             # is the in-flight set (plus a few decoys); an EXHAUSTIVE
             # scan would materialise positions for the whole 2^a domain
@@ -476,14 +452,6 @@ class BroadcastSession:
                 codeword_matrix=self._phase2_matrix(message_candidates),
                 slot_positions=candidate_positions,
                 slot_index=candidate_index,
-            )
-        else:
-            decoded_maps = phase2_decode(
-                codes,
-                heard2,
-                accepted,
-                message_candidates,
-                codeword_matrix=self._phase2_matrix(message_candidates),
             )
 
         decoded = [
@@ -534,25 +502,25 @@ class BroadcastSession:
             self.reset(round_offset)
         return [self.run_round(messages) for messages in message_rounds]
 
-    def _phase1_matrix(self, candidates: Sequence[int]) -> np.ndarray | None:
-        """The phase-1 decoder's ``int32`` codeword matrix, when amortisable.
+    def _phase1_matrix(
+        self, plan: "_RoundPlan", candidates: Sequence[int]
+    ) -> np.ndarray:
+        """The phase-1 decoder's ``float32`` candidate codeword matrix.
 
         Under :attr:`CandidatePolicy.EXHAUSTIVE` the candidate list is the
-        full domain every round, so the matrix is built once and reused.
-        The other policies draw fresh random candidates each round; for
-        them the decoder builds its matrix per call (``None``) through the
-        beep code's own codeword cache.
+        full domain every round, so the matrix is built once, in the dtype
+        the sgemm count product consumes, and reused.  The other policies
+        draw fresh random candidates each round; their in-flight rows are
+        recycled from the round's schedule (only decoys are encoded).
         """
         if self._policy is not CandidatePolicy.EXHAUSTIVE:
-            return None
+            return _candidate_matrix_from_plan(
+                self._codes.beep_code, plan, candidates
+            )
         if self._exhaustive_phase1 is None:
-            # Vectorised sessions consume this on the float32 sgemm path,
-            # so caching it in that dtype avoids a whole-matrix conversion
-            # every round; the reference decoder keeps its int32 form.
-            dtype = np.float32 if self._vectorized else np.int32
             self._exhaustive_phase1 = self._codes.beep_code.encode_many(
                 list(candidates)
-            ).astype(dtype)
+            ).astype(np.float32)
         return self._exhaustive_phase1
 
     def _phase2_matrix(self, message_candidates: Sequence[int]) -> np.ndarray | None:
@@ -604,11 +572,11 @@ class _RoundPlan:
     participating: list[bool]
     phase1_schedule: np.ndarray
     phase2_schedule: np.ndarray
-    #: Vectorised path only: the ascending one-positions of each active
-    #: node's beep codeword (row ``slot_rows[r_v]``), computed once by the
-    #: schedule builder and reused by the decoders.
-    slot_positions: "np.ndarray | None" = None
-    slot_rows: "dict[int, int] | None" = None
+    #: The ascending one-positions of each active node's beep codeword
+    #: (row ``slot_rows[r_v]``), computed once by the schedule builder and
+    #: reused by the decoders; ``None`` when every node is silent.
+    slot_positions: "np.ndarray | None"
+    slot_rows: "dict[int, int]"
 
 
 def _build_phase_schedules_fast(
@@ -703,11 +671,11 @@ def _candidate_positions(
     """Each candidate codeword's ascending one-positions, mostly recycled.
 
     In-flight candidates reuse the slot-position rows the schedule
-    builder already computed; only decoys (and exhaustive-scan values
-    absent from the schedule) pay an encode plus ``flatnonzero``.
+    builder already computed; only decoys pay an encode plus
+    ``flatnonzero``.
     """
     weight = beep_code.weight
-    slot_rows = plan.slot_rows or {}
+    slot_rows = plan.slot_rows
     positions = np.empty((len(candidates), weight), dtype=np.int64)
     rows = [slot_rows.get(value) for value in candidates]
     known = [i for i, row in enumerate(rows) if row is not None]
@@ -735,10 +703,19 @@ def _phase1_decode_fast(
     threshold compare) cannot differ from the int32 product.
     """
     heard = np.asarray(heard, dtype=bool)
+    if heard.ndim != 2 or heard.shape[1] != beep_code.length:
+        raise ConfigurationError(
+            f"heard matrix must be (n, {beep_code.length}), got {heard.shape}"
+        )
     if not candidates:
         return [set() for _ in range(heard.shape[0])]
     if codeword_matrix is None:
         codeword_matrix = beep_code.encode_many(list(candidates))
+    elif codeword_matrix.shape != (len(candidates), beep_code.length):
+        raise ConfigurationError(
+            f"codeword matrix must be ({len(candidates)}, {beep_code.length}), "
+            f"got {codeword_matrix.shape}"
+        )
     if beep_code.length < _EXACT_FLOAT32_LIMIT:
         # Single-pass bool → float32 conversions (¬heard fused into the
         # subtraction, and the candidate matrix converted only when not
@@ -793,6 +770,14 @@ def _phase2_decode_fast(
     if codeword_matrix is None:
         codeword_matrix = np.stack(
             [distance_code.encode_int(m) for m in message_candidates]
+        )
+    elif codeword_matrix.shape != (
+        len(message_candidates),
+        distance_code.length,
+    ):
+        raise ConfigurationError(
+            f"codeword matrix must be ({len(message_candidates)}, "
+            f"{distance_code.length}), got {codeword_matrix.shape}"
         )
     # Every session call site passes candidates pre-sorted (the
     # reference decoder's argsort is then the identity), so skip the
@@ -877,8 +862,9 @@ class BatchedSession:
     master seed — codes, channel and decoder state derive from that seed
     exactly as standalone sessions do — but every simulated round executes
     both beeping phases as a single stacked
-    :meth:`~repro.engine.SimulationBackend.run_schedule_batch` call and
-    decodes through the vectorised-exact kernels.  Outcome ``r`` of
+    :meth:`~repro.engine.SimulationBackend.run_schedule_batch` call.
+    Planning and decoding are each replica's own, through the same
+    kernels a standalone session runs.  Outcome ``r`` of
     :meth:`run_round` is therefore bit-identical to what
     ``BroadcastSession(topology, params, seeds[r], ...)`` would have
     produced on the same messages, which is what lets
@@ -935,8 +921,6 @@ class BatchedSession:
             )
             for seed, channel in zip(seeds, channels)
         )
-        for session in self._sessions:
-            session._vectorized = True
         lengths = {session.codes.length for session in self._sessions}
         if len(lengths) != 1:  # pragma: no cover - params pin the length
             raise ConfigurationError(
@@ -1078,7 +1062,8 @@ def simulate_broadcast_round(
         Global beeping-round number at which this simulated round starts
         (keys both noise and the per-round random strings).
     policy, num_decoys:
-        Candidate enumeration policy (see DESIGN.md §2.2).
+        Candidate enumeration policy (see ``docs/ARCHITECTURE.md``,
+        "Candidate policies and practical constants").
     channel:
         Override the noise channel (defaults to the one implied by
         ``params.eps``).

@@ -178,9 +178,9 @@ class BeepSimulator:
         so results are bit-identical either way.
         """
         if isinstance(algorithms, VectorizedBroadcastAlgorithm):
-            return self._run_vectorized(algorithms, max_rounds)
+            return self._run_columnar(algorithms, max_rounds)
         if resolve_runtime(runtime) == "vectorized":
-            return self._run_vectorized(
+            return self._run_columnar(
                 ObjectAlgorithmsAdapter(algorithms), max_rounds
             )
         n = self._topology.num_nodes
@@ -242,7 +242,7 @@ class BeepSimulator:
         bc_budget = 1 + max_rounds * max(1, self._topology.max_degree)
         return self.run_broadcast_congest(wrapped, bc_budget, runtime=runtime)
 
-    def _run_vectorized(
+    def _run_columnar(
         self, algorithm: VectorizedBroadcastAlgorithm, max_rounds: int
     ) -> TranspiledRunResult:
         """The vectorized host loop over the amortised beeping session.

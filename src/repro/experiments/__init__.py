@@ -1,4 +1,4 @@
-"""Experiment harness: one module per reproduced claim (see DESIGN.md §3).
+"""Experiment harness: one module per claim (map in ``docs/ARCHITECTURE.md``).
 
 Run from the command line::
 

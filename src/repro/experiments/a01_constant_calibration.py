@@ -1,7 +1,8 @@
 """A1 (ablation) — calibrating the practical constant c.
 
-The paper's proofs demand c_ε ≈ 10³ (E15b); DESIGN.md §2.1 claims small
-constants suffice in practice.  This ablation sweeps c at several noise
+The paper's proofs demand c_ε ≈ 10³ (E15b); ``docs/ARCHITECTURE.md``
+("Candidate policies and practical constants") claims small constants
+suffice in practice.  This ablation sweeps c at several noise
 levels and measures the per-round success rate, exposing the failure
 cliff that :func:`repro.core.practical_c` is calibrated against: success
 collapses when c is too small for ε and saturates shortly above the

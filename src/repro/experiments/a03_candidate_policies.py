@@ -1,4 +1,4 @@
-"""A3 (ablation) — candidate-set decoding policies (DESIGN.md §2.2).
+"""A3 (ablation) — candidate-set decoding policies (``docs/ARCHITECTURE.md``).
 
 The implementation decodes against a candidate scan set instead of the
 paper's exhaustive ``2^a`` scan.  This ablation validates the substitution

@@ -1,5 +1,6 @@
 """Tests for the vectorised schedule executor, including the bit-exact
-equivalence with the per-round engine (the contract DESIGN.md promises)."""
+equivalence with the per-round engine (the contract ``docs/ARCHITECTURE.md``
+promises)."""
 
 from __future__ import annotations
 

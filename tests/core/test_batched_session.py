@@ -1,12 +1,21 @@
-"""Tests for BatchedSession and its vectorised-exact kernels.
+"""Tests for the round engine: its exact kernels, BatchedSession, and the oracle.
 
-The contract: outcome ``r`` of a batched round is *bit-identical* —
-decoded multisets, accepted sets, error counters, collision flags — to
-what the ``r``-th standalone :class:`BroadcastSession` returns on the
-same messages, for every policy, channel, backend and round offset.  The
-fast kernels (schedule building, phase-1 threshold decode, phase-2
-nearest-codeword decode) are additionally tested value-for-value against
-their reference implementations.
+Sessions build schedules and decode through the fast kernels of
+:mod:`repro.core.round_simulator`; the reference encoder/decoder are the
+specification.  Three contracts are pinned here:
+
+* the kernels (schedule building, phase-1 threshold decode, phase-2
+  nearest-codeword decode) equal their reference implementations value
+  for value;
+* a whole :class:`BroadcastSession` round equals :func:`reference_round`,
+  the same round replayed through the reference functions (same draws in
+  the same order, same beeping executions), across policies, noise
+  rates, backends, silent nodes, dynamic topologies, non-default
+  channels and a full Theorem 21 matching run;
+* outcome ``r`` of a batched round is *bit-identical* — decoded
+  multisets, accepted sets, error counters, collision flags — to what
+  the ``r``-th standalone :class:`BroadcastSession` returns on the same
+  messages, for every policy, channel, backend and round offset.
 """
 
 from __future__ import annotations
@@ -14,17 +23,25 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.algorithms import make_matching_algorithms
+from repro.beeping.batch import run_schedule
+from repro.beeping.noise import AdversarialNoise, DynamicTopology, HeterogeneousNoise
 from repro.core.encoder import build_phase_schedules
 from repro.core.decoder import phase1_decode, phase2_decode
 from repro.core.parameters import CandidatePolicy, SimulationParameters
 from repro.core.round_simulator import (
     BatchedSession,
     BroadcastSession,
+    RoundOutcome,
     _DISTANCE_ROW_CACHE_LIMIT,
     _build_phase_schedules_fast,
+    _candidate_set,
+    _draw_r_values,
     _phase1_decode_fast,
     _phase2_decode_fast,
+    _with_message_decoys,
 )
+from repro.core.transpiler import BeepSimulator
 from repro.errors import ConfigurationError
 from repro.graphs import Topology, path_graph, random_regular_graph, star_graph
 from repro.lru import LRUDict
@@ -228,6 +245,36 @@ class TestFastKernels:
         fast = _phase2_decode_fast(codes, heard, accepted, [3])
         assert reference == fast
 
+    @pytest.mark.parametrize("decode", [phase1_decode, _phase1_decode_fast])
+    def test_phase1_rejects_wrong_heard_shape(self, decode):
+        params = SimulationParameters.for_network(6, 2, eps=0.0)
+        codes = params.combined_code(seed=2)
+        for heard in (
+            np.zeros((6, codes.length + 1), dtype=bool),
+            np.zeros(codes.length, dtype=bool),
+        ):
+            with pytest.raises(ConfigurationError, match="heard matrix"):
+                decode(codes.beep_code, heard, [1, 2], params.eps)
+
+    @pytest.mark.parametrize("decode", [phase1_decode, _phase1_decode_fast])
+    def test_phase1_rejects_wrong_codeword_matrix(self, decode):
+        params = SimulationParameters.for_network(6, 2, eps=0.0)
+        codes = params.combined_code(seed=2)
+        heard = np.zeros((6, codes.length), dtype=bool)
+        matrix = codes.beep_code.encode_many([1, 2, 3])
+        with pytest.raises(ConfigurationError, match="codeword matrix"):
+            decode(codes.beep_code, heard, [1, 2], params.eps, codeword_matrix=matrix)
+
+    @pytest.mark.parametrize("decode", [phase2_decode, _phase2_decode_fast])
+    def test_phase2_rejects_wrong_codeword_matrix(self, decode):
+        params = SimulationParameters.for_network(6, 2, eps=0.0)
+        codes = params.combined_code(seed=2)
+        heard = np.zeros((6, codes.length), dtype=bool)
+        accepted = [{1}] + [set() for _ in range(5)]
+        matrix = np.zeros((2, codes.distance_code.length + 1), dtype=bool)
+        with pytest.raises(ConfigurationError, match="codeword matrix"):
+            decode(codes, heard, accepted, [0, 1], codeword_matrix=matrix)
+
 
 class TestDistanceRowCacheBound:
     def test_session_distance_rows_stay_bounded(self):
@@ -265,3 +312,245 @@ class TestDistanceRowCacheBound:
         for session in batched.sessions:
             assert len(session._distance_rows) <= _DISTANCE_ROW_CACHE_LIMIT
             assert len(session._distance_rows) > 0
+
+
+POLICIES = [
+    CandidatePolicy.ORACLE_WITH_DECOYS,
+    CandidatePolicy.IN_FLIGHT,
+    CandidatePolicy.EXHAUSTIVE,
+]
+
+
+def reference_round(
+    session: BroadcastSession,
+    seed: int,
+    messages,
+    *,
+    policy: CandidatePolicy,
+    num_decoys: int = 16,
+    round_offset: int = 0,
+) -> RoundOutcome:
+    """One Algorithm 1 round decoded by the reference encoder/decoder.
+
+    ``seed``, ``policy`` and ``num_decoys`` must be the ones ``session``
+    was built with.  The per-round stream is consumed in the session's
+    order (``r_v`` values, candidate decoys, message decoys) and both
+    phases run through :func:`~repro.beeping.batch.run_schedule` on the
+    session's channel and backend; the session itself is left untouched.
+    """
+    topology = session.topology
+    params = session.params
+    codes = session.codes
+    n = topology.num_nodes
+    b = codes.length
+    r_space = 1 << params.r_bits
+
+    round_rng = derive_rng(seed, "round-randomness", round_offset)
+    r_values = [int(r) for r in _draw_r_values(round_rng, n, r_space)]
+    participating = [message is not None for message in messages]
+    phase1, phase2 = build_phase_schedules(codes, r_values, messages)
+    heard1 = run_schedule(
+        topology, phase1, session.channel,
+        start_round=round_offset, backend=session.backend,
+    )
+    heard2 = run_schedule(
+        topology, phase2, session.channel,
+        start_round=round_offset + b, backend=session.backend,
+    )
+
+    in_flight = sorted({r_values[v] for v in range(n) if participating[v]})
+    candidates = _candidate_set(
+        policy, in_flight, r_space, params.r_bits, num_decoys, round_rng
+    )
+    accepted_raw = phase1_decode(codes.beep_code, heard1, candidates, params.eps)
+    accepted = [
+        accepted_raw[v] - ({r_values[v]} if participating[v] else set())
+        for v in range(n)
+    ]
+
+    message_candidates = sorted(
+        {messages[v] for v in range(n) if participating[v]}
+    )
+    if policy is CandidatePolicy.ORACLE_WITH_DECOYS and message_candidates:
+        message_candidates = _with_message_decoys(
+            message_candidates, params.message_bits, num_decoys, round_rng
+        )
+    if policy is CandidatePolicy.EXHAUSTIVE:
+        message_candidates = list(range(1 << params.message_bits))
+    decoded_maps = (
+        phase2_decode(codes, heard2, accepted, message_candidates)
+        if message_candidates
+        else [{} for _ in range(n)]
+    )
+
+    # Ground truth: the adjacency active at the round's first beeping round.
+    truth_topology = (
+        topology.topology_at(round_offset)
+        if isinstance(topology, DynamicTopology)
+        else topology
+    )
+    neighbours = [
+        [int(u) for u in truth_topology.neighbors[v] if participating[int(u)]]
+        for v in range(n)
+    ]
+    true_sets = [{r_values[u] for u in neighbours[v]} for v in range(n)]
+    decoded = [
+        sorted(entry.message for entry in decoded_maps[v].values())
+        for v in range(n)
+    ]
+    per_node_success = np.asarray(
+        [decoded[v] == sorted(messages[u] for u in neighbours[v]) for v in range(n)],
+        dtype=bool,
+    )
+    transmitted = [r_values[v] for v in range(n) if participating[v]]
+    return RoundOutcome(
+        decoded=decoded,
+        per_node_success=per_node_success,
+        success=bool(per_node_success.all()),
+        beep_rounds_used=2 * b,
+        phase1_errors=sum(accepted[v] != true_sets[v] for v in range(n)),
+        phase2_errors=sum(
+            accepted[v] == true_sets[v] and not per_node_success[v]
+            for v in range(n)
+        ),
+        r_collision=len(set(transmitted)) != len(transmitted),
+        accepted_sets=accepted,
+    )
+
+
+def assert_session_matches_reference(
+    topology, params, seed, policy, *, backend=None, channel=None, rounds=3,
+    start=0, hole_every=3,
+):
+    """Chain ``rounds`` session rounds, each checked against the reference."""
+    session = BroadcastSession(
+        topology, params, seed, policy=policy, backend=backend, channel=channel
+    )
+    rng = derive_rng(seed, "oracle-messages")
+    offset = start
+    for round_index in range(rounds):
+        messages = random_messages(
+            rng, topology.num_nodes, params.message_bits,
+            hole_every=hole_every + round_index,
+        )
+        expected = reference_round(
+            session, seed, messages, policy=policy, round_offset=offset
+        )
+        outcome = session.run_round(messages, round_offset=offset)
+        assert_outcomes_equal(outcome, expected)
+        offset += outcome.beep_rounds_used
+    return session
+
+
+def small_params(eps: float) -> SimulationParameters:
+    """Codes small enough for the exhaustive scan (r_bits = 12, B = 3)."""
+    return SimulationParameters(message_bits=3, max_degree=3, eps=eps, c=4)
+
+
+class TestSessionMatchesReferenceRound:
+    @pytest.mark.parametrize("backend", ["dense", "bitpacked"])
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    @pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.value)
+    def test_policies_noise_and_backends(self, policy, eps, backend):
+        topology = Topology(random_regular_graph(10, 3, seed=4))
+        assert_session_matches_reference(
+            topology, small_params(eps), 21, policy, backend=backend
+        )
+
+    @pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.value)
+    def test_noise_window_boundary(self, policy):
+        """A phase straddling a 4096-round noise window still agrees."""
+        topology = Topology(random_regular_graph(10, 3, seed=6))
+        params = small_params(0.1)
+        b = params.combined_code(0).length
+        assert_session_matches_reference(
+            topology, params, 5, policy, rounds=2, start=4096 - b - b // 2
+        )
+
+    def test_all_silent_round(self):
+        topology = Topology(random_regular_graph(8, 3, seed=2))
+        params = small_params(0.1)
+        for policy in POLICIES:
+            session = BroadcastSession(topology, params, 3, policy=policy)
+            messages = [None] * 8
+            assert_outcomes_equal(
+                session.run_round(messages, round_offset=0),
+                reference_round(session, 3, messages, policy=policy),
+            )
+
+    @pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.value)
+    def test_dynamic_topology(self, policy):
+        base = Topology(random_regular_graph(12, 3, seed=8))
+        params = small_params(0.1)
+        b = params.combined_code(0).length
+        # Epochs shorter than a phase, so masks change inside each round.
+        dynamic = DynamicTopology(
+            base, period=b // 3, churn=0.2, edge_failure=0.1, seed=9
+        )
+        assert_session_matches_reference(dynamic, params, 13, policy)
+
+    @pytest.mark.parametrize(
+        "make_channel",
+        [
+            lambda n: HeterogeneousNoise(
+                [0.02 + 0.2 * (v % 3) / 3 for v in range(n)], seed=31
+            ),
+            lambda n: AdversarialNoise(0.1, seed=37),
+        ],
+        ids=["heterogeneous", "adversarial"],
+    )
+    @pytest.mark.parametrize("backend", ["dense", "bitpacked"])
+    def test_non_default_channels(self, make_channel, backend):
+        topology = Topology(random_regular_graph(12, 3, seed=10))
+        for policy in POLICIES:
+            assert_session_matches_reference(
+                topology, small_params(0.1), 17, policy,
+                backend=backend, channel=make_channel(12),
+            )
+
+    def test_for_network_params_and_decoys(self):
+        """Default-sized codes (r_bits = 20) under the default policy."""
+        topology = Topology(random_regular_graph(16, 4, seed=12))
+        params = SimulationParameters.for_network(16, 4, eps=0.05)
+        assert_session_matches_reference(
+            topology, params, 40, CandidatePolicy.ORACLE_WITH_DECOYS, rounds=4,
+            hole_every=5,
+        )
+
+
+class TestBeepSimulatorMatchesReference:
+    def test_matching_run(self, monkeypatch):
+        """A Theorem 21 matching run: the reference engine gives the same run."""
+        n, degree, seed, eps = 12, 3, 7, 0.05
+        topology = Topology(random_regular_graph(n, degree, seed=seed))
+        _, budget = make_matching_algorithms(topology, value_exponent=3)
+        params = SimulationParameters(
+            message_bits=budget,
+            max_degree=degree,
+            eps=eps,
+            c=SimulationParameters.for_network(n, degree, eps=eps).c,
+        )
+
+        def run(reference: bool):
+            simulator = BeepSimulator(topology, params=params, seed=seed)
+            if reference:
+                session = simulator.session
+
+                def reference_run_round(messages, round_offset=0):
+                    return reference_round(
+                        session, seed, messages,
+                        policy=CandidatePolicy.ORACLE_WITH_DECOYS,
+                        round_offset=round_offset,
+                    )
+
+                monkeypatch.setattr(session, "run_round", reference_run_round)
+            nodes, _ = make_matching_algorithms(topology, value_exponent=3)
+            return simulator.run_broadcast_congest(nodes, 60)
+
+        expected = run(reference=True)
+        result = run(reference=False)
+        assert expected.stats.simulated_rounds > 0
+        assert result.outputs == expected.outputs
+        assert result.finished == expected.finished
+        assert result.stats == expected.stats
+
