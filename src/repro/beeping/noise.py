@@ -29,6 +29,7 @@ execution paths bit-identical under every scenario (property-tested in
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from typing import Iterable
 
 import numpy as np
 
@@ -93,23 +94,73 @@ class NoiselessChannel(NoiseModel):
 #: or in arbitrary batches yields identical noise.
 _WINDOW = 4096
 
-#: Flip windows kept resident per channel; a window is ``n * 4096`` bits,
-#: and chained phases touch at most two consecutive windows plus the
-#: occasional replay, so a handful suffices.
+#: Rounds per packed word: round ``t`` of a node lives in bit ``t % 64``
+#: of word ``t // 64`` (little-endian), the ``repro.engine.packing``
+#: ``pack_rows`` layout (pinned to it by ``tests/beeping/test_flip_words.py``).
+_WORD_BITS = 64
+
+#: Rounds drawn per Philox call while a threshold window is generated, so
+#: no ``_WINDOW x n`` temporary is ever materialised.
+_CHUNK = 512
+
+#: Flip windows kept resident per channel; a window is ``(n, 64)`` uint64
+#: words (``512 * n`` bytes), and chained phases touch at most two
+#: consecutive windows plus the occasional replay, so a handful suffices.
 _WINDOW_CACHE_LIMIT = 4
+
+#: ``numpy.random.Generator.random`` returns ``(raw >> 11) * 2**-53`` for
+#: each raw Philox word, so ``random() < eps`` holds exactly when
+#: ``raw < ceil(eps * 2**53) << 11``: the threshold form of the same flip.
+_MANTISSA_BITS = 53
+_RAW_SHIFT = 64 - _MANTISSA_BITS
+
+#: Bit weights of one packed byte: round ``8g + b`` goes to bit ``b``.
+_BYTE_WEIGHTS = (1 << np.arange(8)).astype(np.uint8)
+
+#: Explicit little-endian words, so the numeric shifts of
+#: :meth:`WindowedNoise.flip_words` see the same values on every host.
+_WORD_DTYPE = np.dtype("<u8")
+
+
+def _flip_threshold(eps) -> np.ndarray:
+    """The raw-word threshold(s) equivalent to ``uniform < eps``."""
+    scaled = np.ceil(np.asarray(eps, dtype=np.float64) * 2.0**_MANTISSA_BITS)
+    return scaled.astype(np.uint64) << np.uint64(_RAW_SHIFT)
+
+
+def _pack_window(chunks: "Iterable[np.ndarray]", n: int) -> np.ndarray:
+    """Pack round-major boolean chunks of one window into ``(n, 64)`` words.
+
+    The chunks are ``(rounds, n)`` blocks, each a multiple of 8 rounds,
+    that together cover the window's ``_WINDOW`` rounds in order.  Each
+    is packed with a weighted byte sum (byte ``g`` of node ``v`` holds
+    rounds ``8g .. 8g + 7`` in bits ``0 .. 7``), so only the 8x smaller
+    byte matrix is ever transposed.
+    """
+    words = np.empty((n, _WINDOW // _WORD_BITS), dtype=_WORD_DTYPE)
+    window_bytes = words.view(np.uint8)
+    position = 0
+    for bits in chunks:
+        width = bits.shape[0] // 8
+        planes = bits.view(np.uint8).reshape(width, 8, n)
+        window_bytes[:, position : position + width] = np.einsum(
+            "gbv,b->gv", planes, _BYTE_WEIGHTS
+        ).T
+        position += width
+    return words
 
 
 class WindowedNoise(NoiseModel):
     """Shared machinery for window-keyed flip channels.
 
-    Subclasses implement :meth:`_window_flips` — the boolean
-    ``(_WINDOW, n)`` flip matrix of one window — from the per-window
-    Philox generator :meth:`_window_rng` provides; this base supplies the
-    1-D/2-D :meth:`apply`, the batched :meth:`flip_block`, and a small
-    per-``(window, n)`` LRU of generated windows.  Because every flip is
-    a pure function of ``(seed, round, n)``, any channel built on this
-    base automatically satisfies the window contract that keeps the
-    execution backends bit-identical.
+    Subclasses implement :meth:`_window_flips` — one window's flips as
+    packed ``(n, 64)`` uint64 words — from the per-window Philox
+    generator :meth:`_window_rng` provides; this base supplies the packed
+    :meth:`flip_words`, its unpacked view :meth:`flip_block`, the 1-D/2-D
+    :meth:`apply`, and a small per-``(window, n)`` LRU of generated
+    windows.  Because every flip is a pure function of ``(seed, round,
+    n)``, any channel built on this base automatically satisfies the
+    window contract that keeps the execution backends bit-identical.
     """
 
     def __init__(self, seed: int) -> None:
@@ -134,33 +185,69 @@ class WindowedNoise(NoiseModel):
         received = np.asarray(received, dtype=bool)
         if received.ndim == 1:
             n = received.shape[0]
-            window, offset = divmod(round_index, _WINDOW)
-            return received ^ self._window_block(window, n)[offset]
+            return received ^ self.flip_block(round_index, 1, n)[:, 0]
         if received.ndim != 2:
             raise ConfigurationError("received array must be 1-D or 2-D")
         n, rounds = received.shape
         return received ^ self.flip_block(round_index, rounds, n)
 
+    def flip_words(self, round_index: int, rounds: int, n: int) -> np.ndarray:
+        """The packed ``(n, ceil(rounds / 64))`` flips from ``round_index``.
+
+        Bit ``t % 64`` of word ``t // 64`` in row ``v`` is node ``v``'s
+        flip in round ``round_index + t`` (the ``pack_rows`` layout), and
+        pad bits past ``rounds`` are zero.  The cached window words are
+        funnel-shifted across window boundaries, so any offset costs one
+        shift/OR pass over the result.  This is the raw noise stream the
+        bit-packed backend XORs into its words; :meth:`flip_block` is its
+        unpacked view.
+        """
+        if round_index < 0 or rounds < 0:
+            raise ConfigurationError(
+                "round_index and rounds must be >= 0, "
+                f"got round_index={round_index}, rounds={rounds}"
+            )
+        round_index, rounds = int(round_index), int(rounds)
+        words = -(-rounds // _WORD_BITS)
+        if words == 0:
+            return np.zeros((n, 0), dtype=np.uint64)
+        first, offset = divmod(round_index, _WINDOW)
+        last = (round_index + rounds - 1) // _WINDOW
+        # The windows' words back to back, plus one zero word so the
+        # high half of the funnel shift can always read one word past.
+        stream = np.concatenate(
+            [self._window_words(window, n) for window in range(first, last + 1)]
+            + [np.zeros((n, 1), dtype=_WORD_DTYPE)],
+            axis=1,
+        )
+        start, shift = divmod(offset, _WORD_BITS)
+        out = stream[:, start : start + words].astype(np.uint64)
+        if shift:
+            out >>= np.uint64(shift)
+            out |= stream[:, start + 1 : start + 1 + words] << np.uint64(
+                _WORD_BITS - shift
+            )
+        tail = rounds % _WORD_BITS
+        if tail:
+            out[:, -1] &= np.uint64((1 << tail) - 1)
+        return out
+
     def flip_block(self, round_index: int, rounds: int, n: int) -> np.ndarray:
         """The boolean ``(n, rounds)`` flip matrix starting at ``round_index``.
 
-        This is the raw noise stream :meth:`apply` XORs in, exposed so the
-        bit-packed backend can pack the very same Philox flips into words
-        and shard workers can slice their local nodes' rows — the
-        ``(seed, round)`` keying and window semantics are shared, which
-        is what makes the backends bit-identical under noise.
+        The unpacked view of :meth:`flip_words` — the same Philox flips,
+        one bool per cell — for the dense, native and sharded paths, which
+        consume boolean matrices; the ``(seed, round)`` keying and window
+        semantics are shared, which is what makes the backends
+        bit-identical under noise.
         """
-        flips = np.empty((n, rounds), dtype=bool)
-        position = 0
-        while position < rounds:
-            window, offset = divmod(round_index + position, _WINDOW)
-            take = min(_WINDOW - offset, rounds - position)
-            block = self._window_block(window, n)
-            flips[:, position : position + take] = block[
-                offset : offset + take
-            ].T
-            position += take
-        return flips
+        packed = np.ascontiguousarray(
+            self.flip_words(round_index, rounds, n), dtype=_WORD_DTYPE
+        )
+        bits = np.unpackbits(
+            packed.view(np.uint8), axis=1, bitorder="little", count=rounds
+        )
+        return bits.view(np.bool_)
 
     def _window_rng(self, window: int) -> np.random.Generator:
         """The Philox generator for one window, counter-keyed by its index."""
@@ -169,18 +256,36 @@ class WindowedNoise(NoiseModel):
         )
         return np.random.Generator(bit_generator)
 
-    def _window_block(self, window: int, n: int) -> np.ndarray:
-        """The ``(_WINDOW, n)`` flip matrix for one window, LRU-cached."""
+    def _window_words(self, window: int, n: int) -> np.ndarray:
+        """The packed ``(n, 64)`` flip words of one window, LRU-cached."""
         cache_key = (window, n)
-        block = self._window_cache.get(cache_key)
-        if block is None:
-            block = self._window_flips(window, n)
-            self._window_cache[cache_key] = block
-        return block
+        words = self._window_cache.get(cache_key)
+        if words is None:
+            words = self._window_flips(window, n)
+            self._window_cache[cache_key] = words
+        return words
+
+    def _threshold_words(self, window: int, n: int, threshold) -> np.ndarray:
+        """One window of ``raw < threshold`` flips, packed chunk by chunk.
+
+        ``threshold`` is a scalar or per-column ``(n,)`` array from
+        :func:`_flip_threshold`.  The raw words are consumed round-major,
+        ``_CHUNK`` rounds per draw — the order in which a ``(_WINDOW, n)``
+        ``Generator.random`` matrix would consume them — so the flips equal
+        the float ``random() < eps`` comparison bit for bit.
+        """
+        bit_generator = self._window_rng(window).bit_generator
+        return _pack_window(
+            (
+                bit_generator.random_raw(_CHUNK * n).reshape(_CHUNK, n) < threshold
+                for _ in range(_WINDOW // _CHUNK)
+            ),
+            n,
+        )
 
     @abstractmethod
     def _window_flips(self, window: int, n: int) -> np.ndarray:
-        """Generate the boolean ``(_WINDOW, n)`` flip matrix of one window."""
+        """Generate one window's flips as packed ``(n, 64)`` uint64 words."""
 
 
 class BernoulliNoise(WindowedNoise):
@@ -198,6 +303,7 @@ class BernoulliNoise(WindowedNoise):
                 "(use NoiselessChannel for eps = 0)"
             )
         self._eps = eps
+        self._threshold = _flip_threshold(eps)
         super().__init__(seed)
 
     @property
@@ -207,7 +313,7 @@ class BernoulliNoise(WindowedNoise):
 
     def _window_flips(self, window: int, n: int) -> np.ndarray:
         """One window of iid Bernoulli(ε) flips (uniform draws < ε)."""
-        return self._window_rng(window).random((_WINDOW, n)) < self._eps
+        return self._threshold_words(window, n, self._threshold)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"BernoulliNoise(eps={self._eps}, seed={self._seed})"
@@ -239,6 +345,7 @@ class HeterogeneousNoise(WindowedNoise):
             )
         self._eps_vector = vector
         self._eps_vector.setflags(write=False)
+        self._thresholds = _flip_threshold(vector)
         super().__init__(seed)
 
     @property
@@ -263,9 +370,7 @@ class HeterogeneousNoise(WindowedNoise):
                 f"heterogeneous channel built for {self.num_nodes} nodes "
                 f"applied to {n}"
             )
-        return self._window_rng(window).random((_WINDOW, n)) < self._eps_vector[
-            None, :
-        ]
+        return self._threshold_words(window, n, self._thresholds)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -311,7 +416,7 @@ class AdversarialNoise(WindowedNoise):
         block = np.zeros((_WINDOW, n), dtype=bool)
         budget = int(self._eps * _WINDOW * n)
         if budget == 0:
-            return block
+            return _pack_window([block], n)
         rng = self._window_rng(window)
         full, remainder = divmod(budget, n)
         # Seeded burst placement via argsort of uniforms: deterministic
@@ -322,7 +427,7 @@ class AdversarialNoise(WindowedNoise):
         if remainder:
             node_order = np.argsort(rng.random(n), kind="stable")
             block[round_order[full], node_order[:remainder]] = True
-        return block
+        return _pack_window([block], n)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"AdversarialNoise(eps={self._eps}, seed={self._seed})"

@@ -4,9 +4,10 @@ Schedules are packed along the round axis into ``uint64`` words
 (:mod:`~repro.engine.packing`), the OR-of-neighbours is computed with a
 single segmented ``bitwise_or.reduceat`` over the CSR neighbour arrays
 (64 rounds per word-OR instead of one integer multiply-add per round), and
-Bernoulli noise is applied as packed Philox flip words built from the same
-``(seed, window)``-keyed blocks as :class:`~repro.beeping.noise.
-BernoulliNoise` — so the heard matrix is bit-identical to
+windowed noise is XORed in straight from
+:meth:`~repro.beeping.noise.WindowedNoise.flip_words` — the channel's
+packed Philox flips in this module's word layout, never unpacked to
+booleans — so the heard matrix is bit-identical to
 :class:`~repro.engine.dense.DenseBackend` under every channel, for every
 ``start_round``, including phases that straddle noise-window boundaries.
 
@@ -22,10 +23,10 @@ The replica-batched entry point generalises the packed schedule with a
 replica axis: ``R`` replicas stack into one ``(R * n, words)`` word
 matrix, the OR-of-neighbours becomes a single segmented reduction over a
 replicated CSR (the neighbour arrays shifted by ``r * n`` per replica),
-and all replicas' Bernoulli flips are packed and XORed in one pass — the
-per-replica Philox streams stay exactly those of
-:meth:`~repro.beeping.noise.BernoulliNoise.flip_block`, so every replica
-slice is bit-identical to its standalone :meth:`run_schedule` execution.
+and each windowed replica XORs its own ``flip_words`` into its row
+block — the per-replica Philox streams are exactly those of
+:meth:`run_schedule`, so every replica slice is bit-identical to its
+standalone execution.
 """
 
 from __future__ import annotations
@@ -53,8 +54,8 @@ def _flip_block_types() -> tuple[type, ...]:
     """The exact channel types whose flips can be packed-XORed directly.
 
     These are the windowed channels whose ``apply`` is exactly
-    ``received ^ flip_block(...)`` — for them the backend packs the
-    Philox flip matrix into words instead of unpacking the heard bits.
+    ``received ^ flip_block(...)`` — for them the backend XORs the packed
+    ``flip_words`` into its words instead of unpacking the heard bits.
     Exact types only: a subclass may override ``apply``, and then only
     the generic boolean fallback honours it.
     """
@@ -93,9 +94,9 @@ class BitpackedBackend(SimulationBackend):
         if type(channel) is NoiselessChannel:
             return unpack_rows(received, rounds)
         if type(channel) in _flip_block_types():
-            if rounds:
-                flips = pack_rows(channel.flip_block(start_round, rounds, n))
-                np.bitwise_xor(received, flips, out=received)
+            np.bitwise_xor(
+                received, channel.flip_words(start_round, rounds, n), out=received
+            )
             return unpack_rows(received, rounds)
         # Unknown channel: it only understands boolean matrices, so hop out
         # of the packed domain and let it apply itself as usual.
@@ -116,7 +117,7 @@ class BitpackedBackend(SimulationBackend):
         channels: "NoiseModel | Sequence[NoiseModel] | None" = None,
         start_rounds: "int | Sequence[int] | None" = None,
     ) -> np.ndarray:
-        """Replica-axis packed execution: one segmented OR, one flip pass."""
+        """Replica-axis packed execution: one segmented OR, packed flip XORs."""
         schedules = validate_schedule_batch(topology, schedules)
         replicas, n, rounds = schedules.shape
         channel_list, start_list = normalize_batch_args(
@@ -131,25 +132,15 @@ class BitpackedBackend(SimulationBackend):
         received = self.neighbor_or_words(topology, packed, replicas=replicas)
         np.bitwise_or(received, packed, out=received)
         # Channel dispatch mirrors run_schedule per replica (exact-type
-        # checks for the same subclass-override reason), but all windowed
-        # replicas' Philox flips are packed and XORed in one pass.
-        bernoulli = [
-            r
-            for r in range(replicas)
-            if type(channel_list[r]) in flip_types
-        ]
-        if bernoulli and rounds:
-            flips = np.empty((len(bernoulli) * n, rounds), dtype=bool)
-            for position, r in enumerate(bernoulli):
-                flips[position * n : (position + 1) * n] = channel_list[
-                    r
-                ].flip_block(start_list[r], rounds, n)
-            flip_words = pack_rows(flips)
-            for position, r in enumerate(bernoulli):
+        # checks for the same subclass-override reason); each windowed
+        # replica XORs its packed Philox flips into its own row block.
+        for r in range(replicas):
+            if type(channel_list[r]) in flip_types:
+                block = received[r * n : (r + 1) * n]
                 np.bitwise_xor(
-                    received[r * n : (r + 1) * n],
-                    flip_words[position * n : (position + 1) * n],
-                    out=received[r * n : (r + 1) * n],
+                    block,
+                    channel_list[r].flip_words(start_list[r], rounds, n),
+                    out=block,
                 )
         heard = unpack_rows(received, rounds).reshape(replicas, n, rounds)
         for r in range(replicas):

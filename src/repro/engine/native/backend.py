@@ -15,9 +15,10 @@ matrices are **bit-identical** to dense/bitpacked on every input — all
 channels, all ``start_round`` offsets, every replica count.
 
 The Philox flip streams themselves still come from
-:meth:`~repro.beeping.noise.WindowedNoise.flip_block` (numpy's Philox is
-already compiled, and sharing the generator is what makes bit-identity a
-structural property rather than a reimplementation risk).
+:meth:`~repro.beeping.noise.WindowedNoise.flip_block`, the boolean view of
+the channel's packed ``flip_words`` (numpy's Philox is already compiled,
+and sharing the generator is what makes bit-identity a structural
+property rather than a reimplementation risk).
 
 On hosts where the kernel cannot be built (no C compiler) the backend
 emits a one-time :class:`RuntimeWarning` and delegates every call to the

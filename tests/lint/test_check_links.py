@@ -1,9 +1,9 @@
-"""Coverage for the markdown link gate (previously untested).
+"""Coverage for the markdown link gate.
 
-Exercises the migrated :mod:`tools.lint.links` logic directly — broken
-links, anchor stripping, external/code-fence skipping — and the legacy
-``tools/check_links.py`` script surface: output lines and exit codes
-(0 clean, 1 broken, 2 usage).
+Exercises the :mod:`tools.lint.links` logic directly — broken links,
+anchor stripping, external/code-fence skipping — and its surface through
+the consolidated ``python -m tools.lint`` entry point: output lines and
+exit codes (0 clean, 2 broken or usage error).
 """
 
 from __future__ import annotations
@@ -12,19 +12,31 @@ import subprocess
 import sys
 from pathlib import Path
 
-from tools.lint.links import broken_links, legacy_main, links_gate
+from tools.lint import cli
+from tools.lint.links import broken_links, links_gate
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
-SCRIPT = REPO_ROOT / "tools" / "check_links.py"
 
 
 def run_script(*args: str) -> "subprocess.CompletedProcess[str]":
     return subprocess.run(
-        [sys.executable, str(SCRIPT), *args],
+        [sys.executable, "-m", "tools.lint", *args],
         capture_output=True,
         text=True,
         cwd=REPO_ROOT,
     )
+
+
+def run_links_through_cli(tmp_path, monkeypatch, link_path) -> int:
+    """``python -m tools.lint --all`` in-process, links gate on ``link_path``.
+
+    The AST rules run over an empty directory so only the link (and the
+    real docstring) gate can report.
+    """
+    empty = tmp_path / "no_sources"
+    empty.mkdir(exist_ok=True)
+    monkeypatch.setattr(cli, "DEFAULT_LINK_PATHS", (str(link_path),))
+    return cli.main([str(empty), "--all"])
 
 
 # ------------------------------------------------------------- link logic
@@ -81,42 +93,36 @@ def test_gate_expands_directories_recursively(tmp_path):
     assert result.failure_summary == "1 broken link(s)"
 
 
-# ----------------------------------------------------------- script shell
+# ------------------------------------------------------------- entry point
 
 
-def test_script_exit_zero_and_message_on_clean_tree(tmp_path):
-    (tmp_path / "a.md").write_text("plain text, no links\n")
-    completed = run_script(str(tmp_path))
-    assert completed.returncode == 0
-    assert completed.stdout == "link check: 1 markdown file(s) clean\n"
+def test_cli_exit_zero_and_message_on_clean_tree(tmp_path, monkeypatch, capsys):
+    docs = tmp_path / "docs"
+    docs.mkdir()
+    (docs / "a.md").write_text("plain text, no links\n")
+    assert run_links_through_cli(tmp_path, monkeypatch, docs) == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines()[-1] == "link check: 1 markdown file(s) clean"
+    assert err == ""
 
 
-def test_script_exit_one_with_line_per_broken_link(tmp_path):
+def test_cli_exit_two_with_line_per_broken_link(tmp_path, monkeypatch, capsys):
     md = tmp_path / "bad.md"
     md.write_text("[x](gone.md)\n[y](also/gone.md)\n")
-    completed = run_script(str(md))
-    assert completed.returncode == 1
-    assert f"{md}: broken link -> gone.md" in completed.stdout
-    assert f"{md}: broken link -> also/gone.md" in completed.stdout
-    assert completed.stderr.strip() == "2 broken link(s)"
+    assert run_links_through_cli(tmp_path, monkeypatch, md) == 2
+    out, err = capsys.readouterr()
+    assert f"{md}: broken link -> gone.md" in out.splitlines()
+    assert f"{md}: broken link -> also/gone.md" in out.splitlines()
+    assert err.splitlines() == ["2 broken link(s)", "lint: FAILED gate(s): links"]
 
 
 def test_script_usage_error_exits_two():
-    completed = run_script()
+    completed = run_script("--no-such-option")
     assert completed.returncode == 2
-    assert "usage: check_links.py" in completed.stderr
-
-
-def test_legacy_main_matches_script_exit_codes(tmp_path, capsys):
-    md = tmp_path / "bad.md"
-    md.write_text("[x](gone.md)\n")
-    assert legacy_main([str(md)]) == 1
-    assert legacy_main([]) == 2
-    (tmp_path / "ok.md").write_text("fine\n")
-    assert legacy_main([str(tmp_path / "ok.md")]) == 0
+    assert completed.stderr.startswith("usage: python -m tools.lint")
 
 
 def test_repo_readme_and_docs_are_clean():
-    completed = run_script("README.md", "docs")
-    assert completed.returncode == 0, completed.stdout + completed.stderr
-    assert completed.stdout == "link check: 2 markdown file(s) clean\n"
+    result = links_gate([REPO_ROOT / "README.md", REPO_ROOT / "docs"])
+    assert result.ok, [finding.render() for finding in result.findings]
+    assert result.clean_message == "link check: 2 markdown file(s) clean"

@@ -1,10 +1,10 @@
-"""Regression: the migrated gates keep their CI-visible behaviour.
+"""Regression: the docstring gate keeps its CI-visible behaviour.
 
-``tools/check_docstrings.py`` and ``tools/check_links.py`` moved onto
-the shared ``tools.lint`` walker/reporter; CI (and tier-1's
-``test_docstrings``) invoke the scripts by path, so their stdout/stderr
-shapes and exit codes are pinned here against the pre-migration
-contract.
+CI runs the docstring and link gates through ``python -m tools.lint
+--all``; this pins that entry point's output lines and exit codes for the
+docstring gate: the clean summary line, one ``module.symbol: message``
+line per violation, the stderr summary, and the consolidated exit code 2.
+The link gate's counterparts live in ``tests/lint/test_check_links.py``.
 """
 
 from __future__ import annotations
@@ -14,18 +14,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+from tools.lint import cli, docstrings
 from tools.lint.docstrings import MODULES, docstring_gate
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
-def run_script(name: str, *args: str) -> "subprocess.CompletedProcess[str]":
+def run_lint(*args: str) -> "subprocess.CompletedProcess[str]":
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
     return subprocess.run(
-        [sys.executable, str(REPO_ROOT / "tools" / name), *args],
+        [sys.executable, "-m", "tools.lint", *args],
         capture_output=True,
         text=True,
         cwd=REPO_ROOT,
@@ -33,12 +34,13 @@ def run_script(name: str, *args: str) -> "subprocess.CompletedProcess[str]":
     )
 
 
-def test_check_docstrings_script_clean_output_and_exit_code():
-    completed = run_script("check_docstrings.py")
+def test_lint_all_clean_output_and_exit_code():
+    completed = run_lint("--all")
     assert completed.returncode == 0, completed.stdout + completed.stderr
-    assert completed.stdout == (
-        f"docstring check: {len(MODULES)} modules clean\n"
-    )
+    lint_line, docstring_line, link_line = completed.stdout.splitlines()
+    assert lint_line.startswith("repro-lint: ") and lint_line.endswith(", clean")
+    assert docstring_line == f"docstring check: {len(MODULES)} modules clean"
+    assert link_line == "link check: 2 markdown file(s) clean"
     assert completed.stderr == ""
 
 
@@ -64,36 +66,26 @@ def test_docstring_gate_covers_the_lint_relevant_modules():
         assert module in MODULES
 
 
-def test_check_docstrings_script_reports_violations_with_exit_one(tmp_path):
-    # a scratch package with a missing docstring, checked through the
-    # same module-walking code path the script uses
+def test_docstring_violations_exit_two_through_the_cli(
+    tmp_path, monkeypatch, capsys
+):
+    # a scratch package with a missing docstring, put on the gate's
+    # module list and run through the consolidated entry point
     pkg = tmp_path / "scratchpkg"
     pkg.mkdir()
     (pkg / "__init__.py").write_text(
         '"""A scratch package for the docstring gate test."""\n\n'
         "def undocumented():\n    return 1\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(tmp_path), str(REPO_ROOT / "src")]
-    )
-    completed = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            "import sys; sys.path.insert(0, r'%s')\n"
-            "from tools.lint.docstrings import check_module\n"
-            "problems = check_module('scratchpkg')\n"
-            "for p in problems:\n"
-            "    print(p.render())\n"
-            "sys.exit(1 if problems else 0)\n" % REPO_ROOT,
-        ],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert completed.returncode == 1
-    assert (
-        "scratchpkg.undocumented: missing function docstring"
-        in completed.stdout
-    )
+    empty = tmp_path / "no_sources"
+    empty.mkdir()
+    monkeypatch.syspath_prepend(str(tmp_path))
+    monkeypatch.setattr(docstrings, "MODULES", ("scratchpkg",))
+    assert cli.main([str(empty), "--all"]) == 2
+    out, err = capsys.readouterr()
+    assert "scratchpkg.undocumented: missing function docstring" in out.splitlines()
+    assert not any(line.startswith("docstring check:") for line in out.splitlines())
+    assert err.splitlines() == [
+        "1 docstring violation(s)",
+        "lint: FAILED gate(s): docstrings",
+    ]

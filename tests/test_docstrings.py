@@ -1,33 +1,25 @@
 """The pydocstyle-lite gate must hold for the public API.
 
-Runs ``tools/check_docstrings.py`` (the same script CI invokes) against
-the in-repo sources, so a missing module/function docstring on the
-public surface — or an undocumented topology-zoo parameter — fails
-tier-1, not just the CI docs job.
+Runs the ``tools.lint`` docstring gate (the one CI invokes through
+``python -m tools.lint --all``) against the in-repo sources, so a missing
+module/function docstring on the public surface — or an undocumented
+topology-zoo parameter — fails tier-1, not just the CI lint job.
 """
 
 from __future__ import annotations
 
-import os
-import subprocess
 import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+if str(REPO_ROOT) not in sys.path:
+    sys.path.insert(0, str(REPO_ROOT))
+
+from tools.lint.docstrings import docstring_gate  # noqa: E402
 
 
 def test_public_api_docstrings_clean():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-    )
-    completed = subprocess.run(
-        [sys.executable, str(REPO_ROOT / "tools" / "check_docstrings.py")],
-        capture_output=True,
-        text=True,
-        env=env,
-        cwd=REPO_ROOT,
-    )
-    assert completed.returncode == 0, (
-        f"docstring gate failed:\n{completed.stdout}{completed.stderr}"
+    result = docstring_gate()
+    assert result.ok, "docstring gate failed:\n" + "\n".join(
+        finding.render() for finding in result.findings
     )

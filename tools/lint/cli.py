@@ -10,9 +10,8 @@
 
 Exit codes follow the repo CLI convention (:mod:`repro.experiments.
 harness`): 0 clean, **2** with one ``path:line: RULE-ID message``
-diagnostic per finding otherwise.  The legacy shims
-(``tools/check_docstrings.py``, ``tools/check_links.py``) keep their
-historical exit code 1 for existing CI consumers.
+diagnostic per finding otherwise.  This is the only entry point of the
+docstring and link gates (CI runs ``--all``).
 """
 
 from __future__ import annotations
