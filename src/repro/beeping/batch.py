@@ -19,7 +19,7 @@ schedule at epoch boundaries and execute each segment against that epoch's
 masked static topology (noise keying stays global-round, so the split is
 invisible to the flip stream).  Backends therefore only ever see static
 topologies, and the bit-identity invariant across dense / bit-packed /
-batched / sharded execution extends to churn scenarios with no per-backend
+native / batched execution extends to churn scenarios with no per-backend
 code.
 """
 

@@ -89,11 +89,6 @@ class BeepSimulator:
     channel:
         Override the noise channel (defaults to the one implied by the
         parameters' noise rate) — the failure-injection seam.
-    shards:
-        Shard-worker count for the sharded execution tier; ``1``
-        (default) keeps the single-process path, ``P > 1`` wraps the
-        backend in a :class:`~repro.engine.ShardedBackend` (bit-identical
-        results, multi-process execution).
     """
 
     def __init__(
@@ -108,7 +103,6 @@ class BeepSimulator:
         gamma: int = 4,
         backend: str | SimulationBackend | None = None,
         channel: "NoiseModel | None" = None,
-        shards: int = 1,
     ) -> None:
         n = topology.num_nodes
         if n < 2:
@@ -131,10 +125,6 @@ class BeepSimulator:
         # All per-execution state — codes, channel, backend, decoder
         # matrices — is built once here and amortised across every
         # simulated round of every run.
-        if shards > 1:
-            from ..engine import with_shards
-
-            backend = with_shards(backend, shards)
         self._session = BroadcastSession(
             topology,
             params,

@@ -11,10 +11,7 @@ to a :class:`SimulationBackend`:
 * :class:`NativeBackend` (``"native"``) — the bit-packed algorithm's inner
   loops compiled to machine code at first use (see
   :mod:`repro.engine.native`), falling back to bit-packed on hosts
-  without a C compiler;
-* :class:`ShardedBackend` (``"sharded"``) — any of the above hash-sharded
-  across ``P`` worker processes with chunked boundary exchange (see
-  :mod:`repro.engine.sharded`); built via :func:`with_shards`.
+  without a C compiler.
 
 All are bit-identical (property-tested); they differ only in speed.
 Selection is by name, by instance, or ``"auto"`` — a size heuristic that
@@ -48,8 +45,6 @@ __all__ = [
     "DenseBackend",
     "BitpackedBackend",
     "NativeBackend",
-    "ShardedBackend",
-    "with_shards",
     "mp_context",
     "START_METHOD",
     "available_backends",
@@ -177,40 +172,3 @@ def resolve_backend(
     if spec == "auto":
         return _auto_choice(topology, rounds)
     return get_backend(spec)
-
-
-# Imported after the registry helpers exist: the sharded coordinator
-# resolves its local kernel through ``resolve_backend`` lazily.
-from .sharded import ShardedBackend  # noqa: E402
-
-
-def with_shards(
-    spec: "str | SimulationBackend | None",
-    shards: int,
-    memory_budget_bytes: "int | None" = None,
-) -> "str | SimulationBackend | None":
-    """Wrap a backend spec in a :class:`ShardedBackend` when ``shards > 1``.
-
-    The single seam every ``--shards`` flag goes through: ``shards <= 1``
-    returns ``spec`` unchanged (no worker pool, byte-for-byte the
-    existing single-process path), while ``shards > 1`` returns a
-    :class:`ShardedBackend` using ``spec`` as its local kernel.  A spec
-    that is already a :class:`ShardedBackend` is returned as-is when the
-    shard counts agree, and rejected otherwise — nesting sharded tiers
-    is never meaningful.
-    """
-    from ..errors import ConfigurationError
-
-    if isinstance(spec, ShardedBackend):
-        if spec.shards != shards and shards > 1:
-            raise ConfigurationError(
-                f"backend is already sharded ({spec.shards} shards); "
-                f"cannot re-shard to {shards}"
-            )
-        return spec
-    if shards is None or int(shards) <= 1:
-        return spec
-    base = None if spec in (None, "auto") else spec
-    return ShardedBackend(
-        int(shards), base=base, memory_budget_bytes=memory_budget_bytes
-    )

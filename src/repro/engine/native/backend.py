@@ -144,7 +144,6 @@ def csr_or_words(
     n: int,
     replicas: int = 1,
     include_self: bool = False,
-    out_rows: "int | None" = None,
 ) -> np.ndarray:
     """Replica-batched neighbour-OR over a CSR adjacency, in C.
 
@@ -153,14 +152,8 @@ def csr_or_words(
     neighbours' rows within that replica — seeded with ``v``'s own row
     when ``include_self`` (the fused ``neighbours | self`` of schedule
     execution), zeros otherwise (the bare carrier-sense primitive).
-
-    Shard workers call this with their *rectangular* shard CSR: ``n``
-    local rows whose indices address the wider stacked ``[local | halo]``
-    column space of ``packed``; ``out_rows`` (= ``n``) then sizes the
-    result independently of ``packed``'s row count.
     """
-    words = packed.shape[1]
-    rows = packed.shape[0] if out_rows is None else out_rows
+    rows, words = packed.shape
     if words == 0 or rows == 0:
         return np.zeros((rows, words), dtype=np.uint64)
     out = np.empty((rows, words), dtype=np.uint64)

@@ -261,8 +261,8 @@ def _compile(compiler: str, so_path: Path) -> None:
             f"native kernel compile failed (exit {completed.returncode}): "
             f"{tail.splitlines()[-1] if tail else 'no compiler output'}"
         )
-    # Atomic publish: concurrent builders (e.g. shard workers racing on a
-    # cold cache) each rename a complete library; last writer wins and
+    # Atomic publish: concurrent builders (e.g. parallel experiment workers
+    # racing on a cold cache) each rename a complete library; last writer wins and
     # every loader only ever sees a whole file.
     os.replace(tmp_path, so_path)
 

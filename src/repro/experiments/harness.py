@@ -210,15 +210,6 @@ def sweep_main(argv: Sequence[str] | None = None) -> int:
         "(default) or reference; bit-identical per seed, speed only",
     )
     parser.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        metavar="P",
-        help="partition each point's topology across P shard worker "
-        "processes (default 1 = single-process); results are "
-        "bit-identical for every P",
-    )
-    parser.add_argument(
         "--jobs",
         type=int,
         default=1,
@@ -272,7 +263,6 @@ def sweep_main(argv: Sequence[str] | None = None) -> int:
             profile=args.profile,
             backend=args.backend,
             runtime=args.runtime,
-            shards=args.shards,
             jobs=args.jobs,
             cache_dir=args.cache,
             batch_replicas=not args.no_batch,
@@ -432,15 +422,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "(default) or reference; bit-identical per seed, speed only",
     )
     parser.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        metavar="P",
-        help="shard each simulation across P worker processes "
-        "(default 1 = single-process); results are bit-identical, "
-        "cache entries are kept per shard count",
-    )
-    parser.add_argument(
         "--jobs",
         type=int,
         default=1,
@@ -514,7 +495,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             seed=args.seed,
             backend=args.backend,
             runtime=args.runtime,
-            shards=args.shards,
             jobs=args.jobs,
             tags=tags,
             cache_dir=args.cache,

@@ -1,9 +1,8 @@
 """Per-process resident-memory guard for worker processes.
 
-Sharded workers (and any other long-running worker) hold a slice of a
-simulation whose global footprint exceeds one machine: a worker that
-silently outgrows its share gets OOM-killed by the kernel, taking the
-whole run — and possibly unrelated processes — with it.
+A long-running worker process (for example a service job worker) that
+silently outgrows its memory share gets OOM-killed by the kernel,
+taking the whole run — and possibly unrelated processes — with it.
 :class:`MemoryGuard` turns that failure mode into a clean, catchable
 :class:`~repro.errors.MemoryBudgetError`: callers sprinkle
 :meth:`MemoryGuard.check` around their big allocations, and the guard
@@ -80,7 +79,7 @@ class MemoryGuard:
         enforcement (checks still track the observed peak), so callers
         can thread one guard object through unconditionally.
     label:
-        Human-readable owner (e.g. ``"shard worker 3"``) included in the
+        Human-readable owner (e.g. ``"job worker 3"``) included in the
         error message.
     """
 

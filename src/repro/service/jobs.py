@@ -5,10 +5,10 @@ Two kinds exist, mirroring the two programmatic entry points:
 
 ``experiment``
     The :func:`repro.experiments.api.run` payload shape — experiment
-    ids (or tags), profile, seed, backend, runtime, shards.
+    ids (or tags), profile, seed, backend, runtime.
 ``sweep``
     The :func:`repro.sweeps.run` payload shape — a grid dict (the
-    TOML document form), profile, backend override, runtime, shards.
+    TOML document form), profile, backend override, runtime.
 
 Normalization is **eager and lossy on aliases**: ids are resolved
 through the registry (tags folded in), grids are validated and expanded
@@ -22,7 +22,7 @@ payload shape.
 The normalized payload is also the **identity**: :meth:`JobSpec.
 identity_key` hashes exactly the fields that determine the result bytes
 — the existing cache identity (resolved ids / executed grid, profile,
-seed, backend label, shards).  ``runtime`` is deliberately excluded:
+seed, backend label).  ``runtime`` is deliberately excluded:
 runtimes are bit-identical per seed (the engine invariant), so two
 submissions differing only in runtime share one computation.
 """
@@ -46,8 +46,8 @@ __all__ = ["JOB_KINDS", "JobFailure", "JobSpec", "execute_spec", "render_csv"]
 JOB_KINDS: tuple[str, ...] = ("experiment", "sweep")
 
 #: Payload keys accepted per kind (beyond ``"kind"`` itself).
-_EXPERIMENT_KEYS = ("ids", "tags", "profile", "seed", "backend", "runtime", "shards")
-_SWEEP_KEYS = ("grid", "profile", "backend", "runtime", "shards")
+_EXPERIMENT_KEYS = ("ids", "tags", "profile", "seed", "backend", "runtime")
+_SWEEP_KEYS = ("grid", "profile", "backend", "runtime")
 
 
 class JobFailure(Exception):
@@ -91,8 +91,8 @@ def _check_int(value: object, *, what: str, minimum: int) -> int:
     return value
 
 
-def _check_common(payload: Mapping) -> "tuple[str, str | None, str | None, int]":
-    """Validate the fields shared by both kinds: profile/backend/runtime/shards."""
+def _check_common(payload: Mapping) -> "tuple[str, str | None, str | None]":
+    """Validate the fields shared by both kinds: profile/backend/runtime."""
     profile = payload.get("profile", "quick")
     if not profile or not isinstance(profile, str):
         raise _one_line(f"job profile must be a non-empty string, got {profile!r}")
@@ -106,8 +106,7 @@ def _check_common(payload: Mapping) -> "tuple[str, str | None, str | None, int]"
     if runtime is not None:
         resolve_runtime(runtime)  # unknown names fail at submit, not execute
         runtime = str(runtime)
-    shards = _check_int(payload.get("shards", 1), what="shards", minimum=1)
-    return profile, backend, runtime, shards
+    return profile, backend, runtime
 
 
 @dataclass(frozen=True)
@@ -149,7 +148,7 @@ class JobSpec:
     def _normalize_experiment(cls, raw: Mapping) -> "JobSpec":
         """Normalize an ``experiment`` payload (the ``api.run`` shape)."""
         _check_keys(raw, _EXPERIMENT_KEYS, "experiment")
-        profile, backend, runtime, shards = _check_common(raw)
+        profile, backend, runtime = _check_common(raw)
         seed = _check_int(raw.get("seed", 0), what="seed", minimum=0)
         tags = raw.get("tags")
         if tags is not None and (
@@ -174,7 +173,6 @@ class JobSpec:
             "seed": seed,
             "backend": backend,
             "runtime": runtime,
-            "shards": shards,
         }
         return cls(kind="experiment", payload=payload)
 
@@ -184,7 +182,7 @@ class JobSpec:
         from ..sweeps.grid import GridSpec, load_grid
 
         _check_keys(raw, _SWEEP_KEYS, "sweep")
-        profile, backend, runtime, shards = _check_common(raw)
+        profile, backend, runtime = _check_common(raw)
         grid = raw.get("grid")
         if not isinstance(grid, Mapping):
             raise _one_line(
@@ -203,7 +201,6 @@ class JobSpec:
             "grid": executed,
             "profile": profile,
             "runtime": runtime,
-            "shards": shards,
         }
         return cls(kind="sweep", payload=payload)
 
@@ -216,12 +213,11 @@ class JobSpec:
 
         Hashes exactly what determines the result document's bytes — the
         existing cache identity surfaced one level up.  For experiments:
-        resolved ids in selection order, profile, seed, the backend
-        *label* (which encodes the shard count, via
-        ``api._backend_name``), and shards.  For sweeps: the executed
-        grid document (which pins every cell's slug, seed, and backend),
-        profile, and shards.  ``runtime`` is excluded — bit-identical by
-        the engine invariant.
+        resolved ids in selection order, profile, seed, and the backend
+        *label* (``api._backend_name``).  For sweeps: the executed grid
+        document (which pins every cell's slug, seed, and backend) and
+        profile.  ``runtime`` is excluded — bit-identical by the engine
+        invariant.
         """
         payload = self.payload_dict()
         if self.kind == "experiment":
@@ -230,17 +226,13 @@ class JobSpec:
                 "ids": payload["ids"],
                 "profile": payload["profile"],
                 "seed": payload["seed"],
-                "backend": api._backend_name(
-                    payload["backend"], payload["shards"]
-                ),
-                "shards": payload["shards"],
+                "backend": api._backend_name(payload["backend"]),
             }
         else:
             doc = {
                 "kind": self.kind,
                 "grid": payload["grid"],
                 "profile": payload["profile"],
-                "shards": payload["shards"],
             }
         canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
@@ -282,7 +274,6 @@ def execute_spec(
             seed=payload["seed"],
             backend=payload["backend"],
             runtime=payload["runtime"],
-            shards=payload["shards"],
             jobs=1,
             cache_dir=cache_dir,
             progress=progress,
@@ -294,7 +285,6 @@ def execute_spec(
         payload["grid"],
         profile=payload["profile"],
         runtime=payload["runtime"],
-        shards=payload["shards"],
         jobs=1,
         cache_dir=cache_dir,
         progress=progress,

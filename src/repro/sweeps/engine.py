@@ -51,13 +51,7 @@ from ..beeping.noise import DynamicTopology, make_noise_model
 from ..congest.runtime import resolve_runtime
 from ..core.parameters import SimulationParameters
 from ..core.round_simulator import BatchedSession
-from ..engine import (
-    ShardedBackend,
-    SimulationBackend,
-    get_backend,
-    mp_context,
-    with_shards,
-)
+from ..engine import get_backend, mp_context
 from ..errors import ConfigurationError
 from ..experiments import api
 from ..experiments.result import ExperimentResult
@@ -129,10 +123,12 @@ def _point_result(
     )
 
 
-def _identity_columns(
-    point: GridPoint, topology: Topology, shards: int = 1
-) -> dict:
-    """The record columns shared by every workload: axes and structure."""
+def _identity_columns(point: GridPoint, topology: Topology) -> dict:
+    """The record columns shared by every workload: axes and structure.
+
+    ``shards`` is a legacy provenance column of the point documents; it
+    is always ``1`` (single-process execution).
+    """
     return {
         "family": point.family,
         "params": point.params_label(),
@@ -143,7 +139,7 @@ def _identity_columns(
         "churn": point.churn,
         "gamma": point.gamma,
         "backend": point.backend,
-        "shards": shards,
+        "shards": 1,
         "seed": point.seed,
         "delta": topology.max_degree,
         "edges": topology.num_edges,
@@ -152,7 +148,7 @@ def _identity_columns(
 
 
 def _execute_workload_point(
-    point: GridPoint, profile: str, runtime: str, shards: int = 1
+    point: GridPoint, profile: str, runtime: str
 ) -> ExperimentResult:
     """Run one algorithm-workload point: build the graph, run, check.
 
@@ -172,7 +168,7 @@ def _execute_workload_point(
         runtime=runtime,
     )
     elapsed = time.perf_counter() - started
-    measured = _identity_columns(point, topology, shards)
+    measured = _identity_columns(point, topology)
     measured.update(
         message_bits=outcome.message_bits,
         beep_rounds_per_round=None,
@@ -193,7 +189,6 @@ def execute_point(
     point: GridPoint,
     profile: str = "quick",
     runtime: "str | None" = None,
-    shards: int = 1,
 ) -> ExperimentResult:
     """Simulate one grid point end to end and return its structured result.
 
@@ -213,9 +208,7 @@ def execute_point(
     through the CONGEST runtime selected by ``runtime`` (default: the
     process default; runtimes are bit-identical per seed).
     """
-    [result] = execute_batch(
-        [point], profile=profile, runtime=runtime, shards=shards
-    )
+    [result] = execute_batch([point], profile=profile, runtime=runtime)
     return result
 
 
@@ -223,7 +216,6 @@ def execute_batch(
     points: "Sequence[GridPoint]",
     profile: str = "quick",
     runtime: "str | None" = None,
-    shards: int = 1,
 ) -> list[ExperimentResult]:
     """Simulate a group of same-cell points (differing only by seed) at once.
 
@@ -258,13 +250,10 @@ def execute_batch(
                 "execute_batch points must differ only by seed; got "
                 f"{point.label()} next to {first.label()}"
             )
-    if shards < 1:
-        raise ConfigurationError(f"shards must be >= 1, got {shards}")
     if first.workload != "broadcast":
         resolved = resolve_runtime(runtime)
         return [
-            _execute_workload_point(point, profile, resolved, shards)
-            for point in points
+            _execute_workload_point(point, profile, resolved) for point in points
         ]
     topologies = [_point_topology(point) for point in points]
 
@@ -285,17 +274,7 @@ def execute_batch(
             )
             groups.setdefault(fingerprint, []).append(index)
 
-    results: list[ExperimentResult] = [None] * len(points)  # type: ignore[list-item]
-    # One sharded wrapper (and worker pool) for the whole batch; shards=1
-    # passes the plain backend name through untouched.
-    effective_backend = with_shards(first.backend, shards)
-    try:
-        results = _execute_broadcast_groups(
-            points, topologies, groups, first, profile, shards, effective_backend
-        )
-    finally:
-        if isinstance(effective_backend, ShardedBackend):
-            effective_backend.close()
+    results = _execute_broadcast_groups(points, topologies, groups, first, profile)
     # Every input index is covered by exactly one fingerprint group, so
     # no slot can be left empty — fail loudly rather than ever letting a
     # coverage bug misalign results with their points.
@@ -310,8 +289,6 @@ def _execute_broadcast_groups(
     groups: "Mapping[bytes, list[int]]",
     first: GridPoint,
     profile: str,
-    shards: int,
-    effective_backend: "str | SimulationBackend | None",
 ) -> list[ExperimentResult]:
     """Run every replica group of one broadcast batch (see execute_batch)."""
     results: list[ExperimentResult] = [None] * len(points)  # type: ignore[list-item]
@@ -348,7 +325,7 @@ def _execute_broadcast_groups(
             session_topology,
             params,
             [_session_seed(points[index]) for index in indices],
-            backend=effective_backend,
+            backend=first.backend,
             channels=channels,
         )
         message_rngs = [
@@ -376,7 +353,7 @@ def _execute_broadcast_groups(
         elapsed = (time.perf_counter() - started) / len(indices)
         for position, index in enumerate(indices):
             point = points[index]
-            measured = _identity_columns(point, topology, shards)
+            measured = _identity_columns(point, topology)
             measured.update(
                 message_bits=params.message_bits,
                 beep_rounds_per_round=params.rounds_per_simulated_round,
@@ -395,15 +372,13 @@ def _execute_broadcast_groups(
 
 
 def _execute_payload(
-    payload: "tuple[tuple[GridPoint, ...], str, str | None, int]",
+    payload: "tuple[tuple[GridPoint, ...], str, str | None]",
 ) -> list[dict]:
     """Worker-process entry: run one batch group, return its dict forms."""
-    points, profile, runtime, shards = payload
+    points, profile, runtime = payload
     return [
         result.to_dict()
-        for result in execute_batch(
-            list(points), profile=profile, runtime=runtime, shards=shards
-        )
+        for result in execute_batch(list(points), profile=profile, runtime=runtime)
     ]
 
 
@@ -420,9 +395,7 @@ def _point_record(point: GridPoint, result: ExperimentResult) -> dict:
     return record
 
 
-def _cache_identity_matches(
-    point: GridPoint, result: ExperimentResult, shards: int = 1
-) -> bool:
+def _cache_identity_matches(point: GridPoint, result: ExperimentResult) -> bool:
     """Whether a cached result's record carries exactly ``point``'s identity.
 
     The cache file name and stored ``experiment_id`` are the sanitised
@@ -431,10 +404,9 @@ def _cache_identity_matches(
     predates schema additions; the long-form record inside the result
     carries the *unsanitised* identity, so replay requires every
     identity column — family, generator params, ``n``, ``eps``,
-    ``noise_model``, ``churn``, ``gamma``, backend, ``shards``, seed,
-    ``rounds`` — to match the requested point exactly.  Anything malformed or mismatched is a
-    cache miss (``shards`` runs are bit-identical but cached separately,
-    so each record's provenance column stays truthful).
+    ``noise_model``, ``churn``, ``gamma``, backend, seed, ``rounds`` —
+    to match the requested point exactly.  Anything malformed or
+    mismatched is a cache miss.
     """
     try:
         record = _point_record(point, result)
@@ -451,7 +423,6 @@ def _cache_identity_matches(
             and record["churn"] == point.churn
             and record["gamma"] == point.gamma
             and record["backend"] == point.backend
-            and record["shards"] == shards
             and record["seed"] == point.seed
             and record["rounds"] == point.rounds
         )
@@ -460,7 +431,7 @@ def _cache_identity_matches(
 
 
 def _load_cached_point(
-    cache_dir: "str | Path", point: GridPoint, profile: str, shards: int = 1
+    cache_dir: "str | Path", point: GridPoint, profile: str
 ) -> "ExperimentResult | None":
     """Probe the on-disk cache for one point, with full identity verification."""
     cached = api.load_cached(
@@ -470,14 +441,13 @@ def _load_cached_point(
             profile=profile,
             seed=point.seed,
             backend=point.backend,
-            shards=shards,
         ),
         experiment_id=point.slug(),
         profile=profile,
         seed=point.seed,
         backend_name=point.backend,
     )
-    if cached is None or not _cache_identity_matches(point, cached, shards):
+    if cached is None or not _cache_identity_matches(point, cached):
         return None
     return cached
 
@@ -533,7 +503,6 @@ def run(
     profile: str = "quick",
     backend: "str | None" = None,
     runtime: "str | None" = None,
-    shards: int = 1,
     jobs: int = 1,
     cache_dir: "str | Path | None" = None,
     batch_replicas: bool = True,
@@ -556,13 +525,6 @@ def run(
         CONGEST runtime for algorithm workloads (the CLI ``--runtime``
         flag); ``None`` uses the process default.  Runtimes are
         bit-identical per seed, so this only changes speed.
-    shards:
-        Shard-worker count for the sharded execution tier (the CLI
-        ``--shards`` flag).  ``1`` keeps the single-process path;
-        ``P > 1`` partitions each point's topology across ``P`` worker
-        processes.  Simulated numbers are bit-identical for every value
-        — the ``shards`` column in the records (and the cache identity)
-        tracks provenance only.
     jobs:
         Worker processes; ``1`` runs batch groups serially in-process.
     cache_dir:
@@ -579,8 +541,6 @@ def run(
     """
     if jobs < 1:
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
-    if shards < 1:
-        raise ConfigurationError(f"shards must be >= 1, got {shards}")
     if backend is not None and backend != "auto":
         get_backend(backend)  # eager: fail before validation/probing work
     runtime = resolve_runtime(runtime)  # eager: unknown names fail first
@@ -591,7 +551,7 @@ def run(
     pending: list[int] = []
     for index, point in enumerate(points):
         cached = (
-            _load_cached_point(cache_dir, point, profile, shards)
+            _load_cached_point(cache_dir, point, profile)
             if cache_dir is not None
             else None
         )
@@ -612,7 +572,6 @@ def run(
                     profile=profile,
                     seed=points[index].seed,
                     backend=points[index].backend,
-                    shards=shards,
                 ),
                 result,
             )
@@ -625,7 +584,7 @@ def run(
     groups = _batch_groups(points, pending, batch_replicas, jobs=jobs)
     if pending and jobs > 1:
         payloads = [
-            (tuple(points[index] for index in group), profile, runtime, shards)
+            (tuple(points[index] for index in group), profile, runtime)
             for group in groups
         ]
         with ProcessPoolExecutor(
@@ -644,7 +603,6 @@ def run(
                 [points[index] for index in group],
                 profile=profile,
                 runtime=runtime,
-                shards=shards,
             )
             for index, result in zip(group, group_results):
                 finish(index, result)

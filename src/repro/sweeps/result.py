@@ -35,10 +35,9 @@ __all__ = ["SWEEP_SCHEMA_VERSION", "POINT_FIELDS", "CELL_KEY", "SweepResult"]
 #: columns (``rounds_used``, ``messages_sent``, ``output_size``,
 #: ``valid``); columns that do not apply to a point's workload hold
 #: ``None`` (JSON ``null``, empty CSV cell).
-#: Version 4 added the ``shards`` execution column (worker-process count
-#: of the sharded tier; ``1`` = single-process).  ``shards`` is
-#: provenance, not identity: it is deliberately excluded from
-#: :data:`CELL_KEY`, because sharded execution is bit-identical.
+#: Version 4 added the ``shards`` execution column (worker-process
+#: count).  Execution is single-process, so ``shards`` is always ``1``;
+#: it is provenance, not identity, and stays out of :data:`CELL_KEY`.
 #: Version 5 added the scenario axes: the ``noise_model`` identity
 #: column (how the eps budget is spent — ``bernoulli``, ``adversarial``,
 #: ``zone:<frac>``) and the ``churn`` identity column (per-epoch node

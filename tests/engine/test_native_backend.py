@@ -219,31 +219,6 @@ class TestBitIdentity:
             NATIVE.run_schedule_batch(topology, np.zeros((2, 4, 2), dtype=bool))
 
 
-@needs_kernel
-class TestShardedComposition:
-    @pytest.mark.parametrize("shards", [1, 2, 4])
-    def test_sharded_native_matches_dense(self, request, shards):
-        from repro.engine import ShardedBackend, with_shards
-
-        backend = with_shards("native", shards)
-        if isinstance(backend, ShardedBackend):
-            request.addfinalizer(backend.close)
-        else:
-            backend = get_backend(backend)
-        topology = FAMILIES["gnp"](61)
-        rng = np.random.default_rng(6)
-        schedule = rng.random((topology.num_nodes, 70)) < 0.25
-        for channel, start in (
-            (None, 0),
-            (BernoulliNoise(0.1, 42), 11),
-            (BernoulliNoise(0.05, 7), 4090),
-        ):
-            assert np.array_equal(
-                DENSE.run_schedule(topology, schedule, channel, start),
-                backend.run_schedule(topology, schedule, channel, start),
-            ), (shards, channel, start)
-
-
 @pytest.fixture
 def clean_native_state(monkeypatch, tmp_path):
     """Isolated build-module state: fresh cache dir, no memoized loads."""

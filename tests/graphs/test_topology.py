@@ -69,6 +69,28 @@ class TestAccessors:
         t = Topology(star_graph(5))
         assert list(t.degrees) == [4, 1, 1, 1, 1]
 
+    def test_num_edges_counted_once_across_neighbor_or_calls(self, monkeypatch):
+        # The bit-packed per-round path consults num_edges on every 1-D
+        # call; an O(m) networkx walk each time made flooding quadratic.
+        from repro.engine import BitpackedBackend
+
+        t = Topology(path_graph(200))
+        calls = []
+        count_edges = nx.Graph.number_of_edges
+
+        def counting(graph, *args, **kwargs):
+            calls.append(graph)
+            return count_edges(graph, *args, **kwargs)
+
+        monkeypatch.setattr(nx.Graph, "number_of_edges", counting)
+        backend = BitpackedBackend()
+        beeps = np.arange(200) % 7 == 0
+        expected = t.neighbor_or(beeps)
+        for _ in range(5):
+            assert np.array_equal(backend.neighbor_or(t, beeps), expected)
+        assert len(calls) <= 1
+        assert t.num_edges == 199
+
 
 class TestNeighborOr:
     def test_vector_star(self):

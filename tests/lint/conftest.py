@@ -32,7 +32,7 @@ def repo_root() -> Path:
 def lint_tree(tmp_path):
     """Write ``{relpath: source}`` fixtures and lint them.
 
-    Returns a callable: ``lint_tree({"src/repro/engine/x.py": "..."})``
+    Returns a callable: ``lint_tree({"src/repro/engine/dense.py": "..."})``
     gives the sorted list of findings for that miniature tree.
     """
 

@@ -40,7 +40,8 @@ def test_lint_all_clean_output_and_exit_code():
     lint_line, docstring_line, link_line = completed.stdout.splitlines()
     assert lint_line.startswith("repro-lint: ") and lint_line.endswith(", clean")
     assert docstring_line == f"docstring check: {len(MODULES)} modules clean"
-    assert link_line == "link check: 2 markdown file(s) clean"
+    assert link_line.startswith("link check: 2 markdown file(s), ")
+    assert link_line.endswith(" python file(s) clean")
     assert completed.stderr == ""
 
 
@@ -59,7 +60,7 @@ def test_docstring_gate_covers_the_lint_relevant_modules():
     for module in (
         "repro.beeping.noise",
         "repro.engine.base",
-        "repro.engine.sharded.coordinator",
+        "repro.engine.native.backend",
         "repro.sweeps.engine",
         "repro.service.app",
     ):

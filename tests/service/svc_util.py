@@ -8,6 +8,7 @@ import the helpers directly without colliding with the suite-level
 from __future__ import annotations
 
 import json
+import os
 import time
 import urllib.error
 import urllib.request
@@ -60,6 +61,15 @@ class ServiceClient:
                 return state
             time.sleep(0.02)
         raise AssertionError(f"job {job_id} did not finish within {timeout}s")
+
+
+def crash_worker_entry(spec_document: dict, cache_dir, queue) -> None:
+    """A job-worker stand-in that dies at once without reporting.
+
+    Module-level so the ``spawn`` start method can pickle it by name;
+    ``os._exit`` skips every cleanup handler, like an OOM kill would.
+    """
+    os._exit(9)
 
 
 def make_service(store_dir, *, jobs: int = 2, executor=None) -> JobService:

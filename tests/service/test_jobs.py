@@ -27,7 +27,6 @@ class TestNormalizeExperiment:
             "seed": 0,
             "backend": None,
             "runtime": None,
-            "shards": 1,
         }
 
     def test_ids_resolved_through_registry(self):
@@ -65,6 +64,18 @@ class TestNormalizeExperiment:
     def test_bad_integers_rejected(self, field, value):
         with pytest.raises(ConfigurationError):
             normalize(kind="experiment", ids=["e01"], **{field: value})
+
+    @pytest.mark.parametrize(
+        "kind,extra",
+        [("experiment", {"ids": ["e01"]}), ("sweep", {})],
+        ids=["experiment", "sweep"],
+    )
+    def test_shards_is_an_unknown_key(self, kind, extra):
+        with pytest.raises(ConfigurationError) as caught:
+            normalize(kind=kind, shards=1, **extra)
+        message = str(caught.value)
+        assert message.startswith(f"unknown {kind}-job key(s) 'shards'; known: ")
+        assert "\n" not in message
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown backend"):
@@ -129,7 +140,7 @@ class TestIdentity:
         [
             {"seed": 1},
             {"profile": "full"},
-            {"shards": 2},
+            {"backend": "dense"},
             {"ids": ["e03"]},
         ],
     )

@@ -7,6 +7,7 @@ port through plain :mod:`urllib` — the same wire a curl user sees.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import threading
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
@@ -17,7 +18,7 @@ from repro.experiments import api
 from repro.service import DirJobStore, InlineExecutor, JobSpec
 from repro.service.jobs import JobFailure, execute_spec, render_csv
 
-from svc_util import ServiceClient, make_service
+from svc_util import ServiceClient, crash_worker_entry, make_service
 
 EXPERIMENT_JOB = {"kind": "experiment", "ids": ["e01"], "profile": "quick", "seed": 5}
 
@@ -378,23 +379,25 @@ class TestRecovery:
         assert spy.calls == 2
 
 
+def spawn_service(store_dir):
+    """A started service on the production spawn-worker executor."""
+    from repro.service import JobService, ServiceConfig
+
+    service = JobService(
+        ServiceConfig(
+            host="127.0.0.1", port=0, store_dir=store_dir, jobs=1, inline=False
+        )
+    )
+    service.start()
+    service.start_background()
+    return service
+
+
 class TestSubprocessExecutorPath:
     def test_spawn_worker_round_trip(self, tmp_path):
         # The production path once: a real spawn worker process relays
         # progress over the queue and returns the document.
-        from repro.service import JobService, ServiceConfig
-
-        service = JobService(
-            ServiceConfig(
-                host="127.0.0.1",
-                port=0,
-                store_dir=tmp_path / "store",
-                jobs=1,
-                inline=False,
-            )
-        )
-        service.start()
-        service.start_background()
+        service = spawn_service(tmp_path / "store")
         client = ServiceClient(service)
         try:
             _, submitted = client.post_json("/v1/jobs", EXPERIMENT_JOB)
@@ -416,3 +419,31 @@ class TestSubprocessExecutorPath:
             assert document.decode("utf-8") == expected
         finally:
             service.shutdown()
+
+    def test_worker_crash_fails_the_job_and_the_server_survives(
+        self, tmp_path, monkeypatch
+    ):
+        # A worker that dies without a terminal message (OOM kill,
+        # segfault) must fail its job, not wedge the dispatcher.
+        from repro.service import jobs as jobs_module
+
+        service = spawn_service(tmp_path / "store")
+        client = ServiceClient(service)
+        try:
+            monkeypatch.setattr(jobs_module, "worker_entry", crash_worker_entry)
+            _, crashed = client.post_json("/v1/jobs", EXPERIMENT_JOB)
+            state = client.wait(crashed["job_id"], timeout=60)
+            assert state["state"] == "failed"
+            assert state["error"]["type"] == "WorkerCrash"
+            assert "exited with code 9" in state["error"]["message"]
+            status, health = client.get_json("/v1/health")
+            assert status == 200 and health["status"] == "ok"
+            assert health["jobs"]["failed"] == 1
+
+            monkeypatch.undo()
+            _, retried = client.post_json("/v1/jobs", EXPERIMENT_JOB)
+            assert retried["job_id"] != crashed["job_id"]
+            assert client.wait(retried["job_id"], timeout=120)["state"] == "done"
+        finally:
+            service.shutdown()
+        assert multiprocessing.active_children() == []

@@ -11,7 +11,7 @@ from repro.errors import ConfigurationError
 from repro.experiments import api
 from repro.sweeps import GridSpec, SweepResult
 from repro.sweeps.engine import execute_batch, execute_point
-from repro.sweeps.result import CELL_KEY, POINT_FIELDS
+from repro.sweeps.result import CELL_KEY, POINT_FIELDS, SWEEP_SCHEMA_VERSION
 
 #: The acceptance-criteria grid: >= 3 families x >= 2 sizes x >= 2 noises.
 ACCEPTANCE_GRID = {
@@ -171,6 +171,22 @@ class TestSweepResult:
         assert cell["success_min"] == 0.0
         assert cell["success_max"] == 1.0
         assert cell["delta_mean"] == 2
+
+    def test_shards_column_is_constant_one(self):
+        # Schema v5 keeps the shards provenance column; execution is
+        # single-process, so every workload records 1 and cells ignore it.
+        grid = {
+            "topologies": ["cycle"],
+            "workloads": ["broadcast", "mis"],
+            "sizes": [8],
+            "noises": [0.0],
+            "seeds": [0, 1],
+            "rounds": 1,
+        }
+        result = sweeps.run(grid)
+        assert SWEEP_SCHEMA_VERSION == 5
+        assert "shards" in POINT_FIELDS and "shards" not in CELL_KEY
+        assert [record["shards"] for record in result.points] == [1] * 4
 
     def test_cells_group_by_key(self):
         template = {field: 0 for field in POINT_FIELDS}

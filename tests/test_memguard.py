@@ -42,8 +42,8 @@ class TestMemoryGuard:
         assert guard.check("setup") > 0
 
     def test_tiny_budget_raises_with_context(self):
-        guard = MemoryGuard(1024, label="shard worker 3")
-        with pytest.raises(MemoryBudgetError, match="shard worker 3 after load"):
+        guard = MemoryGuard(1024, label="job worker 3")
+        with pytest.raises(MemoryBudgetError, match="job worker 3 after load"):
             guard.check("after load")
 
     def test_error_is_catchable_as_repro_error(self):

@@ -4,6 +4,8 @@
 
     python -m tools.lint                 # AST rules over src/
     python -m tools.lint --all           # + docstring gate + link gate
+                                         #   (markdown links, docstring
+                                         #   path citations)
     python -m tools.lint src/repro/engine  # explicit paths
     python -m tools.lint --list          # rule table (id, scope, backing test)
     python -m tools.lint --all --report lint-report.txt
@@ -33,6 +35,9 @@ DEFAULT_LINT_PATHS = ("src",)
 
 #: Default markdown surfaces the link gate covers (CI's historical args).
 DEFAULT_LINK_PATHS = ("README.md", "docs")
+
+#: Default python trees whose docstring citations the link gate checks.
+DEFAULT_CITATION_PATHS = ("src", "tools", "tests", "benchmarks", "examples")
 
 
 def lint_gate(
@@ -116,7 +121,13 @@ def main(argv: "Sequence[str] | None" = None) -> int:
         from .links import links_gate
 
         gates.append(docstring_gate())
-        gates.append(links_gate([REPO_ROOT / path for path in DEFAULT_LINK_PATHS]))
+        gates.append(
+            links_gate(
+                [REPO_ROOT / path for path in DEFAULT_LINK_PATHS],
+                [REPO_ROOT / path for path in DEFAULT_CITATION_PATHS],
+                root=REPO_ROOT,
+            )
+        )
 
     reporter = Reporter()
     exit_code = reporter.emit_all(gates)

@@ -38,10 +38,6 @@ MODULES: "tuple[str, ...]" = (
     "repro.engine.bitpacked",
     "repro.engine.packing",
     "repro.engine.mp",
-    "repro.engine.sharded",
-    "repro.engine.sharded.partition",
-    "repro.engine.sharded.shard",
-    "repro.engine.sharded.coordinator",
     "repro.engine.native",
     "repro.engine.native.build",
     "repro.engine.native.backend",

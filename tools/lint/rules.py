@@ -51,7 +51,7 @@ def check_unseeded_randomness(context: FileContext) -> Iterator[Finding]:
 
     Every random stream must come from ``repro.rng.derive_rng(seed,
     *context)`` (SHA-256-keyed Philox) so runs are reproducible across
-    processes, backends, and shard counts.  ``np.random.<dist>()`` draws
+    processes and backends.  ``np.random.<dist>()`` draws
     from the hidden global state, ``random.*`` from the interpreter-wide
     Mersenne twister, and ``default_rng()`` without a seed from the OS —
     all three make results depend on call order or the host.
@@ -133,8 +133,7 @@ def check_nondeterminism_sources(context: FileContext) -> Iterator[Finding]:
                 "RNG-002",
                 node,
                 "builtin hash() is salted per interpreter; "
-                "use repro.rng.derive_seed or "
-                "repro.engine.sharded.partition.hash64",
+                "use repro.rng.derive_seed",
             )
             continue
         origin = _call_origin(context, node)
@@ -169,11 +168,10 @@ def check_set_iteration(context: FileContext) -> Iterator[Finding]:
 
     Set iteration order depends on element hashes — stable for ints
     within a run, but an invitation for str-keyed sets (salted) and a
-    trap whenever the construction order differs across shards or
-    backends.  Kernel code must iterate ``sorted(...)`` collections (the
-    sharded tier's "symmetric edge ids" discipline).  Dicts are exempt:
-    insertion order is a language guarantee and part of the
-    deterministic program state.
+    trap whenever the construction order differs across processes or
+    backends.  Kernel code must iterate ``sorted(...)`` collections.
+    Dicts are exempt: insertion order is a language guarantee and part
+    of the deterministic program state.
     """
 
     def flag(iterable: ast.AST) -> "Iterator[Finding]":
@@ -272,7 +270,7 @@ class _SpawnVisitor(ast.NodeVisitor):
 @rule(
     "SPAWN-001",
     "only module-level callables cross process-spawn boundaries",
-    backing_test="tests/engine/test_sharded_backend.py (spawn workers)",
+    backing_test="tests/service/test_service.py (spawn worker round trip)",
     scopes=("src/",),
 )
 def check_spawn_picklability(context: FileContext) -> Iterator[Finding]:
@@ -299,13 +297,13 @@ _WINDOW_FORBIDDEN_MODULES = (
 
 #: Identifier shapes that smuggle execution-strategy state into noise.
 _WINDOW_FORBIDDEN_IDENT = re.compile(
-    r"Backend|BatchedSession|^Shard|^shard_|_shard\b"
+    r"Backend|BatchedSession"
 )
 
 
 @rule(
     "WINDOW-001",
-    "noise.py is firewalled from backend/batch/shard symbols",
+    "noise.py is firewalled from backend/batch symbols",
     backing_test="tests/beeping/test_scenarios.py (window contract)",
     scopes=("src/repro/beeping/noise.py",),
 )
@@ -313,11 +311,10 @@ def check_window_firewall(context: FileContext) -> Iterator[Finding]:
     """Enforce the PR-8 window contract as an import/name firewall.
 
     Noise flips for round ``t`` must be a pure function of ``(seed, t,
-    n)`` — never of which backend runs, how rounds are batched, or how
-    many shards split the nodes.  The simplest static form of that
-    guarantee: ``beeping/noise.py`` cannot even *name* the execution
-    layers.  Any import of ``repro.engine``/``repro.beeping.batch`` or
-    reference to backend/batch/shard identifiers is a violation.
+    n)`` — never of which backend runs or how rounds are batched.  The
+    simplest static form of that guarantee: ``beeping/noise.py`` cannot
+    even *name* the execution layers.  Any import of ``repro.engine``/``repro.beeping.batch`` or
+    reference to backend/batch identifiers is a violation.
     """
     for node in ast.walk(context.tree):
         if isinstance(node, ast.Import):
@@ -372,14 +369,14 @@ def check_window_firewall(context: FileContext) -> Iterator[Finding]:
     "LOCK-001",
     "locks are held via with-statements, never bare acquire()",
     backing_test="tests/service/test_jobs.py (concurrent submissions)",
-    scopes=("src/repro/service/", "src/repro/engine/sharded/"),
+    scopes=("src/repro/service/",),
 )
 def check_lock_discipline(context: FileContext) -> Iterator[Finding]:
     """Flag explicit ``.acquire()`` calls in the concurrent layers.
 
     A bare ``lock.acquire()`` that is not paired with ``release()`` in a
-    ``finally`` deadlocks the single-flight dedupe table or a shard
-    worker the first time the guarded block raises.  The repo's
+    ``finally`` deadlocks the single-flight dedupe table the first time
+    the guarded block raises.  The repo's
     concurrency layers therefore hold every ``threading.Lock`` /
     ``Condition`` through a ``with`` statement, which the AST shows
     unambiguously; any explicit ``.acquire()`` call is a finding.
