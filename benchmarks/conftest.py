@@ -1,6 +1,6 @@
 """Shared helpers for the benchmark suite.
 
-Each ``bench_eXX`` module regenerates one experiment of the claims map in
+``bench_experiments.py`` regenerates each experiment of the claims map in
 ``docs/ARCHITECTURE.md`` via pytest-benchmark and prints its tables (run
 with ``-s`` to see them inline; they are also what
 ``python -m repro.experiments`` prints).
@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import os
 import platform
+import shutil
 
-from repro.experiments import Table
+from repro.experiments import ExperimentSpec, Table
 
 
 def host_metadata() -> dict:
@@ -38,21 +39,18 @@ def host_metadata() -> dict:
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "cc": _compiler_version(),
-        "native_kernel_hash": _native_kernel_hash(),
     }
 
 
 def _compiler_version() -> "str | None":
     """First line of ``cc --version``, or ``None`` on compiler-less hosts.
 
-    Native-tier numbers depend on the code the compiler emits, so the
-    provenance block pins which compiler produced the kernel.
+    The toolchain is part of the host description: result files that
+    carry this block are compared field by field across runs.
     """
     import subprocess
 
-    from repro.engine.native.build import compiler_path
-
-    cc = compiler_path()
+    cc = shutil.which(os.environ.get("CC") or "cc")
     if cc is None:
         return None
     try:
@@ -66,18 +64,12 @@ def _compiler_version() -> "str | None":
     return probe.stdout.splitlines()[0].strip()
 
 
-def _native_kernel_hash() -> str:
-    """Source hash of the native kernel (the ``.so`` cache key)."""
-    from repro.engine.native.build import kernel_source_hash
-
-    return kernel_source_hash()
-
-
-def run_and_print(benchmark, runner, quick: bool = True, seed: int = 0) -> list[Table]:
-    """Benchmark one experiment runner (single round) and print its tables."""
-    tables = benchmark.pedantic(
-        runner, kwargs={"quick": quick, "seed": seed}, rounds=1, iterations=1
-    )
+def run_and_print(
+    benchmark, spec: ExperimentSpec, profile: str = "quick", seed: int = 0
+) -> list[Table]:
+    """Benchmark one experiment spec (single round) and print its tables."""
+    ctx = spec.make_context(profile=profile, seed=seed)
+    tables = benchmark.pedantic(spec, args=(ctx,), rounds=1, iterations=1)
     for table in tables:
         print()
         print(table.render())

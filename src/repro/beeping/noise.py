@@ -21,7 +21,7 @@ masks the same way — so the flips (or the active edge set) for round
 ``t`` are a pure function of ``(seed, t, n)``.  They never depend on how
 rounds are batched, which backend executes them, or how many replicas
 share a call.  That is the single property that keeps the dense,
-bit-packed, native and replica-batched execution paths bit-identical
+bit-packed and replica-batched execution paths bit-identical
 under every scenario (property-tested in ``tests/beeping/test_scenarios.py``
 and ``tests/engine/``).
 """
@@ -236,8 +236,8 @@ class WindowedNoise(NoiseModel):
         """The boolean ``(n, rounds)`` flip matrix starting at ``round_index``.
 
         The unpacked view of :meth:`flip_words` — the same Philox flips,
-        one bool per cell — for the dense and native paths, which consume
-        boolean matrices; the ``(seed, round)`` keying and window
+        one bool per cell — for the dense path, which consumes boolean
+        matrices; the ``(seed, round)`` keying and window
         semantics are shared, which is what makes the backends
         bit-identical under noise.
         """
@@ -480,7 +480,7 @@ class DynamicTopology:
     cached), which is how the executors consume it: the schedule runner
     segments executions at epoch boundaries and hands each segment a
     static topology, so **no backend ever sees the wrapper** and the
-    bit-identity of dense / bit-packed / native / batched execution
+    bit-identity of dense / bit-packed / batched execution
     extends to dynamic networks for free.
 
     The mask for round ``t`` depends only on ``(seed, t // period, n)``

@@ -7,13 +7,9 @@ to a :class:`SimulationBackend`:
 
 * :class:`DenseBackend` (``"dense"``) — the scipy-CSR/numpy reference path;
 * :class:`BitpackedBackend` (``"bitpacked"``) — schedules packed into
-  ``uint64`` words, 64 rounds per OR/XOR;
-* :class:`NativeBackend` (``"native"``) — the bit-packed algorithm's inner
-  loops compiled to machine code at first use (see
-  :mod:`repro.engine.native`), falling back to bit-packed on hosts
-  without a C compiler.
+  ``uint64`` words, 64 rounds per OR/XOR.
 
-All are bit-identical (property-tested); they differ only in speed.
+Both are bit-identical (property-tested); they differ only in speed.
 Selection is by name, by instance, or ``"auto"`` — a size heuristic that
 picks the packed path once the schedule is big enough to amortise the
 pack/unpack overhead.  :func:`set_default_backend` changes what ``"auto"``
@@ -34,7 +30,6 @@ from .base import (
 from .bitpacked import BitpackedBackend
 from .dense import DenseBackend
 from .mp import START_METHOD, mp_context
-from .native import NativeBackend
 from .packing import WORD_BITS, pack_rows, pack_vector, unpack_rows, words_for
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -44,7 +39,6 @@ __all__ = [
     "SimulationBackend",
     "DenseBackend",
     "BitpackedBackend",
-    "NativeBackend",
     "mp_context",
     "START_METHOD",
     "available_backends",
@@ -63,13 +57,9 @@ __all__ = [
 ]
 
 #: Singleton registry — backends are stateless, one instance each suffices.
-#: Registering NativeBackend does not touch the compiler: its kernel is
-#: built lazily on the first call, and compiler-less hosts fall back to
-#: the bit-packed backend at that point.
 _BACKENDS: dict[str, SimulationBackend] = {
     DenseBackend.name: DenseBackend(),
     BitpackedBackend.name: BitpackedBackend(),
-    NativeBackend.name: NativeBackend(),
 }
 
 #: ``"auto"`` flips to the bit-packed path once the schedule clears both
@@ -90,22 +80,16 @@ def get_backend(name: str) -> SimulationBackend:
     """Look up a backend by registry name.
 
     Unknown names raise :class:`~repro.errors.ConfigurationError` listing
-    every registered backend — and, when the native tier cannot run on
-    this host, why (so ``--backend natve`` typos and "why is native
-    missing" both get answered by the same one-line error).
+    every registered backend (so a ``--backend`` typo gets a one-line
+    error naming the alternatives).
     """
     from ..errors import ConfigurationError
 
     try:
         return _BACKENDS[name]
     except KeyError:
-        from .native.build import native_availability
-
-        native_ok, native_reason = native_availability()
-        detail = "" if native_ok else f"; note: native falls back to bitpacked here ({native_reason})"
         raise ConfigurationError(
             f"unknown backend {name!r}; known: {sorted(_BACKENDS)} (or 'auto')"
-            f"{detail}"
         ) from None
 
 
@@ -134,10 +118,6 @@ def get_default_backend() -> "str | SimulationBackend":
 def _auto_choice(
     topology: "Topology | None" = None, rounds: "int | None" = None
 ) -> SimulationBackend:
-    # "auto" deliberately never picks the native tier: its availability
-    # depends on a host compiler, and auto's choice must be stable across
-    # the fleet so cached results stay comparable.  Native is an explicit
-    # opt-in (--backend native), with a warned bit-identical fallback.
     if topology is None:
         return _BACKENDS[DenseBackend.name]
     n = topology.num_nodes

@@ -109,17 +109,3 @@ class RunContext:
     def with_progress(self, progress: Callable[[str], None] | None) -> "RunContext":
         """A copy of this context with a different progress callback."""
         return replace(self, progress=progress)
-
-    @classmethod
-    def from_legacy(
-        cls,
-        experiment_id: str,
-        quick: bool = True,
-        seed: int = 0,
-    ) -> "RunContext":
-        """Build a context from the v1 ``(quick, seed)`` convention."""
-        return cls(
-            experiment_id=experiment_id,
-            profile="quick" if quick else "full",
-            seed=seed,
-        )

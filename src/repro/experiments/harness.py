@@ -30,7 +30,7 @@ from typing import Sequence
 from ..engine import available_backends
 from ..errors import ConfigurationError
 from . import api
-from .registry import EXPERIMENTS, list_experiments
+from .registry import list_experiments
 from .result import ExperimentResult
 
 __all__ = ["main", "sweep_main"]
@@ -39,11 +39,11 @@ __all__ = ["main", "sweep_main"]
 def _experiment_id_summary() -> str:
     """Compact range summary of the registered ids, e.g. ``a01..a03, e01..e16``.
 
-    Generated from :data:`EXPERIMENTS` so the help text can never drift
-    from the registry again.
+    Generated from :func:`list_experiments` so the help text can never
+    drift from the registry again.
     """
     groups: dict[str, list[str]] = {}
-    for key in sorted(EXPERIMENTS):
+    for key, _ in list_experiments():
         groups.setdefault(key.rstrip("0123456789"), []).append(key)
     return ", ".join(
         keys[0] if len(keys) == 1 else f"{keys[0]}..{keys[-1]}"

@@ -7,12 +7,9 @@ experiment.  v2 replaces both: experiment modules self-register via the
 merely *discovers* them — every ``eNN_*`` / ``aNN_*`` module in the
 package is imported once, which fires its decorator.
 
-The v1 surface (``EXPERIMENTS``, :func:`get_experiment`,
-:func:`list_experiments`) is preserved as a compatibility view over the
-spec registry: ``EXPERIMENTS[id]`` is still a ``(runner, description)``
-pair, where the runner is the :class:`ExperimentSpec` itself (callable
-under both the legacy ``(quick, seed)`` and the v2 ``RunContext``
-conventions).
+:func:`get_experiment` and :func:`list_experiments` read the spec
+registry: the runner :func:`get_experiment` returns is the
+:class:`ExperimentSpec` itself, called as ``spec(ctx)``.
 """
 
 from __future__ import annotations
@@ -22,16 +19,9 @@ import pkgutil
 import re
 
 from ..errors import ConfigurationError
-from .spec import (
-    ExperimentSpec,
-    add_registration_hook,
-    registered_spec,
-    registered_specs,
-)
-from .table import Table  # noqa: F401  (re-exported for v1 callers)
+from .spec import ExperimentSpec, registered_spec, registered_specs
 
 __all__ = [
-    "EXPERIMENTS",
     "discover",
     "get_experiment",
     "get_spec",
@@ -82,29 +72,11 @@ def get_spec(experiment_id: str) -> ExperimentSpec:
     return spec
 
 
-#: v1 compatibility view: id -> (runner, one-line description).  Runners
-#: accept both the legacy ``(quick, seed)`` kwargs and a ``RunContext``.
-#: A plain dict (so every dict method — ``get``, ``setdefault``, ``==`` —
-#: behaves), populated eagerly at import, exactly when the v1 literal
-#: was, and kept in sync with late/replaced registrations via a
-#: registration hook.
-EXPERIMENTS: dict = {}
-
-
-def _sync_experiments_view(spec: ExperimentSpec) -> None:
-    """Mirror one registration into the v1 ``EXPERIMENTS`` dict."""
-    EXPERIMENTS[spec.id] = (spec, spec.title)
-
-
-discover()
-add_registration_hook(_sync_experiments_view)
-
-
 def get_experiment(experiment_id: str):
     """Return the runner for an experiment id (e.g. ``"e06"``).
 
-    The runner is the :class:`ExperimentSpec`; calling it with the legacy
-    ``(quick=..., seed=...)`` signature still returns a list of tables.
+    The runner is the :class:`ExperimentSpec`; call it with a context
+    from :meth:`~ExperimentSpec.make_context` to get its tables.
     """
     return get_spec(experiment_id)
 

@@ -8,7 +8,7 @@ import pytest
 
 from repro.engine import get_default_backend
 from repro.experiments.harness import _experiment_id_summary, main
-from repro.experiments.registry import EXPERIMENTS
+from repro.experiments.registry import list_experiments
 from repro.sweeps.result import SWEEP_SCHEMA_VERSION
 
 GRID_TOML = (
@@ -28,7 +28,7 @@ class TestHelpText:
     def test_summary_tracks_registry_contents(self):
         # every registered id is inside one of the advertised ranges
         summary = _experiment_id_summary()
-        for key in EXPERIMENTS:
+        for key, _ in list_experiments():
             prefix = key.rstrip("0123456789")
             assert prefix in summary
 
@@ -57,7 +57,7 @@ class TestBackendFlag:
         assert main(["e01", "--backend", "quantum"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: unknown backend 'quantum'")
-        assert "'native'" in err and "'bitpacked'" in err and "'dense'" in err
+        assert "'auto'" in err and "'bitpacked'" in err and "'dense'" in err
 
     def test_unknown_backend_rejected_on_sweep(self, tmp_path, capsys):
         grid = tmp_path / "grid.toml"
@@ -65,7 +65,7 @@ class TestBackendFlag:
         assert main(["sweep", "--grid", str(grid), "--backend", "quantum"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: unknown backend 'quantum'")
-        assert "'native'" in err
+        assert "'bitpacked'" in err and "'dense'" in err and err.count("\n") == 1
 
 
 class TestRuntimeFlag:
@@ -176,9 +176,10 @@ class TestFormats:
         assert main(["e03", "--seed", "2"]) == 0
         cli_out = capsys.readouterr().out
         [result] = api.run(["e03"], seed=2)
-        tables = get_experiment("e03")(quick=True, seed=2)
+        spec = get_experiment("e03")
+        tables = spec(spec.make_context(seed=2))
         # the table bodies must agree byte-for-byte across all three paths:
-        # legacy runner call, structured result, and CLI text output
+        # direct spec call, structured result, and CLI text output
         for table, table_data in zip(tables, result.tables):
             assert table.render() == table_data.to_table().render()
             assert table.render() in cli_out
@@ -253,11 +254,6 @@ class TestSelection:
         with pytest.raises(SystemExit) as excinfo:
             main(["e01", "--profile", "smoke", "--full"])
         assert excinfo.value.code == 2
-
-    def test_registry_dict_get_works(self):
-        # EXPERIMENTS must behave like the v1 literal for every dict method
-        runner, description = EXPERIMENTS.get("e06")
-        assert runner.id == "e06" and description
 
 
 class TestSweepSubcommand:

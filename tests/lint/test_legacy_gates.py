@@ -60,7 +60,7 @@ def test_docstring_gate_covers_the_lint_relevant_modules():
     for module in (
         "repro.beeping.noise",
         "repro.engine.base",
-        "repro.engine.native.backend",
+        "repro.engine.bitpacked",
         "repro.sweeps.engine",
         "repro.service.app",
     ):

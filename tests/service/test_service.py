@@ -10,11 +10,15 @@ import json
 import multiprocessing
 import threading
 import urllib.request
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.engine import get_backend
+from repro.errors import ConfigurationError
 from repro.experiments import api
+from repro.experiments.harness import main
 from repro.service import DirJobStore, InlineExecutor, JobSpec
 from repro.service.jobs import JobFailure, execute_spec, render_csv
 
@@ -377,6 +381,77 @@ class TestRecovery:
             service.shutdown()
         # The queued and orphaned jobs re-ran; the landed one replayed.
         assert spy.calls == 2
+
+
+def _removed_backend_error(surface, tmp_path, capsys) -> str:
+    """The one-line error ``surface`` gives for the removed name "native"."""
+    if surface == "get_backend":
+        with pytest.raises(ConfigurationError) as excinfo:
+            get_backend("native")
+        return str(excinfo.value)
+    if surface == "sweep-grid":
+        grid = tmp_path / "grid.toml"
+        grid.write_text(
+            '[grid]\ntopologies = ["cycle"]\nsizes = [8]\nnoises = [0.0]\n'
+            'rounds = 1\nbackends = ["native"]\n'
+        )
+        assert main(["sweep", "--grid", str(grid)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return err.rstrip("\n")
+    service = make_service(tmp_path / "store")
+    try:
+        status, body = ServiceClient(service).post_json(
+            "/v1/jobs", {"kind": "sweep", "grid": SWEEP_GRID, "backend": "native"}
+        )
+    finally:
+        service.shutdown()
+    assert status == 400
+    assert body["error"]["type"] == "ConfigurationError"
+    return body["error"]["message"]
+
+
+class TestRemovedBackendName:
+    """The removed compiled tier's name is unknown on every surface."""
+
+    @pytest.mark.parametrize("surface", ["get_backend", "sweep-grid", "service-job"])
+    def test_rejected_with_one_line_error(self, surface, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            message = _removed_backend_error(surface, tmp_path, capsys)
+        assert "\n" not in message
+        assert "unknown backend 'native'" in message
+        for known in ("auto", "bitpacked", "dense"):
+            assert known in message
+
+    def test_queued_job_persisted_with_native_fails_typed(self, tmp_path):
+        # A store written before the tier was removed: a queued sweep job
+        # whose executed grid pins backends = ["native"].  Normalization
+        # now rejects that name, so forge the persisted spec directly.
+        store = DirJobStore(tmp_path / "store")
+        current = JobSpec.normalize(
+            {"kind": "sweep", "grid": SWEEP_GRID, "backend": "bitpacked"}
+        ).to_dict()
+        current["payload"]["grid"]["grid"]["backends"] = ["native"]
+        stale = JobSpec.from_dict(current)
+        queued = store.create(stale, stale.identity_key())
+        store.bind_key(stale.identity_key(), queued.job_id)
+
+        service = make_service(tmp_path / "store")
+        client = ServiceClient(service)
+        try:
+            state = client.wait(queued.job_id)
+            assert state["state"] == "failed"
+            assert state["error"]["type"] == "ConfigurationError"
+            assert "'native'" in state["error"]["message"]
+            status, health = client.get_json("/v1/health")
+            assert status == 200 and health["jobs"]["failed"] == 1
+            _, submitted = client.post_json(
+                "/v1/jobs", {"kind": "sweep", "grid": SWEEP_GRID}
+            )
+            assert client.wait(submitted["job_id"])["state"] == "done"
+        finally:
+            service.shutdown()
 
 
 def spawn_service(store_dir):

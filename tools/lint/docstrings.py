@@ -38,9 +38,6 @@ MODULES: "tuple[str, ...]" = (
     "repro.engine.bitpacked",
     "repro.engine.packing",
     "repro.engine.mp",
-    "repro.engine.native",
-    "repro.engine.native.build",
-    "repro.engine.native.backend",
     "repro.memguard",
     "repro.experiments.spec",
     "repro.experiments.api",
